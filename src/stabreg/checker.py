@@ -7,13 +7,34 @@ the read ended, and (b) reads never invert the writer order across a
 happens-before edge.  Both checks run over any suffix of the trace in
 completed-operation order, which lets ``find_stabilization`` locate the
 earliest point from which the system behaves like an atomic register.
+
+``parse_trace`` enforces what the checks rely on and raises ``TraceError``
+otherwise: invokes and responses alternate per processor, a single
+processor issues every write, no written value repeats and no ``op_id`` is
+used twice.  It also fixes the completion order and maps every read to the
+writer-order index of the value it returned, once per trace.
+
+A suffix's violations only shrink as its start moves right, so each
+violation has a *cut*: the first start index whose suffix no longer holds
+it.  For a read at completion index i:
+
+* stale (regularity): 1 + the index of the last write completed before the
+  read was invoked;
+* read from the future (regularity): 1 + i;
+* new-old inversion: 1 + the largest index among reads that completed
+  before it was invoked and returned a later write.
+
+``find_stabilization`` takes the largest cut in one sweep over the trace,
+O(N log N) for N operations: a ``bisect`` over write completions for
+regularity, and a Fenwick max-tree keyed by write index for inversions.
 """
 
 from __future__ import annotations
 
 import json
+from bisect import bisect_left
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Iterator, Optional
 
 from .protocol import INITIAL_VALUE
 
@@ -34,6 +55,7 @@ class Operation:
     response_pos: Optional[int] = None
     response_step: Optional[int] = None
     widx: int = -1  # writer-order index for writes; mapping target for reads
+    rank: int = -1  # index in Trace.completed; -1 while pending
 
     @property
     def completed(self) -> bool:
@@ -68,23 +90,19 @@ class Verdict:
 class Trace:
     config: dict
     operations: list[Operation]  # all, in invocation order
-
-    @property
-    def completed(self) -> list[Operation]:
-        """Completed operations sorted by completion order."""
-        return sorted(
-            (op for op in self.operations if op.completed),
-            key=lambda op: op.response_pos,
-        )
+    completed: list[Operation]  # completed ones, in completion order
+    writes: list[Operation]  # all writes, in writer order (index = widx)
 
 
 def parse_trace(lines) -> Trace:
-    """Parse JSONL trace lines, enforcing per-processor invoke/response alternation."""
+    """Parse JSONL trace lines into a single-writer trace with reads mapped."""
     config: dict = {}
     ops: dict[str, Operation] = {}
     order: list[Operation] = []
+    completed: list[Operation] = []
+    writes: list[Operation] = []
+    widx_of: dict[Optional[str], int] = {}  # written value -> writer order
     pending: dict[int, Operation] = {}
-    write_count = 0
     for pos, line in enumerate(lines):
         line = line.strip()
         if not line:
@@ -109,11 +127,22 @@ def parse_trace(lines) -> Trace:
                     f"event {pos}: processor {proc} invoked {op_id} while "
                     f"{pending[proc].op_id} is outstanding"
                 )
+            if op_id in ops:
+                raise TraceError(f"event {pos}: op_id {op_id} is used twice")
             op = Operation(op_id, proc, kind.split("_")[0], pos, step,
                            value=event.get("value"))
             if op.kind == "write":
-                op.widx = write_count
-                write_count += 1
+                if writes and writes[0].proc != proc:
+                    raise TraceError(
+                        f"event {pos}: processor {proc} writes, but processor "
+                        f"{writes[0].proc} is the writer"
+                    )
+                if op.value in widx_of:
+                    raise TraceError(
+                        f"event {pos}: value {op.value!r} is written twice"
+                    )
+                op.widx = widx_of[op.value] = len(writes)
+                writes.append(op)
             ops[op_id] = op
             order.append(op)
             pending[proc] = op
@@ -125,24 +154,93 @@ def parse_trace(lines) -> Trace:
                 )
             op.response_pos = pos
             op.response_step = step
+            op.rank = len(completed)
+            completed.append(op)
             if kind == "read_response":
                 op.aborted = bool(event.get("abort"))
                 op.value = event.get("value")
         else:
             raise TraceError(f"event {pos}: unknown event kind {kind!r}")
-    return Trace(config, order)
-
-
-def _map_reads(trace: Trace) -> None:
-    """Resolve each read's writer-order index from its returned value."""
-    by_value = {op.value: op.widx for op in trace.operations if op.kind == "write"}
-    for op in trace.operations:
-        if op.kind == "read" and op.completed and not op.aborted:
-            op.widx = by_value.get(op.value, -1)
+    for op in _checkable_reads(completed):
+        op.widx = widx_of.get(op.value, -1)
+    return Trace(config, order, completed, writes)
 
 
 def _checkable_reads(suffix: list[Operation]) -> list[Operation]:
     return [op for op in suffix if op.kind == "read" and not op.aborted]
+
+
+def _regularity(trace: Trace, suffix_start: int) -> Iterator[tuple[Violation, int]]:
+    """Each regularity violation of the suffix, with its cut."""
+    suffix = trace.completed[suffix_start:]
+    suffix_writes = [op for op in suffix if op.kind == "write"]
+    ends = [op.response_pos for op in suffix_writes]
+    for read in _checkable_reads(suffix):
+        # the single writer completes writes in writer order
+        done = bisect_left(ends, read.invoke_pos)
+        latest = suffix_writes[done - 1] if done else None
+        if latest is not None and read.widx < latest.widx:
+            yield Violation(
+                "regularity",
+                (read.op_id, latest.op_id),
+                f"read {read.op_id} returned {read.value!r} although write "
+                f"{latest.op_id} completed before it",
+            ), latest.rank + 1
+            continue
+        source = trace.writes[read.widx] if read.widx >= 0 else None
+        if source is not None and source.invoke_pos > read.response_pos:
+            yield Violation(
+                "regularity",
+                (read.op_id, source.op_id),
+                f"read {read.op_id} returned a value written only later",
+            ), read.rank + 1
+
+
+class _MaxTree:
+    """Fenwick tree of running maxima keyed by write index, -1 included."""
+
+    def __init__(self, writes: int):
+        self.top = writes  # key widx lives at position top - widx, 1..writes+1
+        self.tree = [-1] * (writes + 2)
+
+    def insert(self, widx: int, value: int) -> None:
+        tree, i = self.tree, self.top - widx
+        while i < len(tree):
+            if tree[i] < value:
+                tree[i] = value
+            i += i & -i
+
+    def max_above(self, widx: int) -> int:
+        """Largest value inserted under a key greater than ``widx``, or -1."""
+        tree, i, best = self.tree, self.top - widx - 1, -1
+        while i > 0:
+            if tree[i] > best:
+                best = tree[i]
+            i -= i & -i
+        return best
+
+
+def _inversions(trace: Trace, suffix_start: int) -> Iterator[tuple[Violation, int]]:
+    """Each new-old inversion of the suffix, with its cut."""
+    by_response = _checkable_reads(trace.completed[suffix_start:])
+    by_invoke = sorted(by_response, key=lambda op: op.invoke_pos)
+    best: Optional[Operation] = None  # completed read with max widx so far
+    latest_above = _MaxTree(len(trace.writes))  # widx -> max rank of such reads
+    i = 0
+    for read in by_invoke:
+        while i < len(by_response) and by_response[i].response_pos < read.invoke_pos:
+            prev = by_response[i]
+            if best is None or prev.widx > best.widx:
+                best = prev
+            latest_above.insert(prev.widx, prev.rank)
+            i += 1
+        if best is not None and read.widx < best.widx:
+            yield Violation(
+                "new-old-inversion",
+                (best.op_id, read.op_id),
+                f"read {read.op_id} returned older value than earlier read "
+                f"{best.op_id}",
+            ), latest_above.max_above(read.widx) + 1
 
 
 def check_regularity(trace: Trace, suffix_start: int = 0) -> list[Violation]:
@@ -152,65 +250,12 @@ def check_regularity(trace: Trace, suffix_start: int = 0) -> list[Violation]:
     corrupted value) are tolerated only until the first in-suffix write
     completes before the read begins.
     """
-    _map_reads(trace)
-    completed = trace.completed
-    suffix = completed[suffix_start:]
-    write_by_widx = {
-        op.widx: op for op in trace.operations if op.kind == "write"
-    }
-    suffix_writes = sorted(
-        (op for op in suffix if op.kind == "write"), key=lambda op: op.response_pos
-    )
-    violations = []
-    for read in _checkable_reads(suffix):
-        latest = None
-        for w in suffix_writes:
-            if w.response_pos < read.invoke_pos:
-                if latest is None or w.widx > latest.widx:
-                    latest = w
-            else:
-                break
-        if latest is not None and read.widx < latest.widx:
-            violations.append(Violation(
-                "regularity",
-                (read.op_id, latest.op_id),
-                f"read {read.op_id} returned {read.value!r} although write "
-                f"{latest.op_id} completed before it",
-            ))
-            continue
-        source = write_by_widx.get(read.widx) if read.widx >= 0 else None
-        if source is not None and source.invoke_pos > read.response_pos:
-            violations.append(Violation(
-                "regularity",
-                (read.op_id, source.op_id),
-                f"read {read.op_id} returned a value written only later",
-            ))
-    return violations
+    return [v for v, _cut in _regularity(trace, suffix_start)]
 
 
 def check_no_inversion(trace: Trace, suffix_start: int = 0) -> list[Violation]:
     """Across a happens-before edge, reads must not go back in writer order."""
-    _map_reads(trace)
-    reads = _checkable_reads(trace.completed[suffix_start:])
-    by_response = sorted(reads, key=lambda op: op.response_pos)
-    by_invoke = sorted(reads, key=lambda op: op.invoke_pos)
-    violations = []
-    best: Optional[Operation] = None  # completed read with max widx so far
-    i = 0
-    for read in by_invoke:
-        while i < len(by_response) and by_response[i].response_pos < read.invoke_pos:
-            prev = by_response[i]
-            if best is None or prev.widx > best.widx:
-                best = prev
-            i += 1
-        if best is not None and read.widx < best.widx:
-            violations.append(Violation(
-                "new-old-inversion",
-                (best.op_id, read.op_id),
-                f"read {read.op_id} returned older value than earlier read "
-                f"{best.op_id}",
-            ))
-    return violations
+    return [v for v, _cut in _inversions(trace, suffix_start)]
 
 
 def check_suffix(trace: Trace, suffix_start: int = 0) -> list[Violation]:
@@ -218,16 +263,18 @@ def check_suffix(trace: Trace, suffix_start: int = 0) -> list[Violation]:
 
 
 def find_stabilization(trace: Trace, metrics: Optional[dict] = None) -> Verdict:
-    """Earliest completed-operation index whose suffix passes both checks."""
+    """Earliest completed-operation index whose suffix passes both checks.
+
+    That index is the largest cut of the full trace's violations, 0 if it
+    has none.  A verdict needs a suffix of at least two operations, so a cut
+    past ``len(completed) - 2`` means never (None).  A trace of fewer than
+    two completed operations is atomic from 0 if it has no violation, and
+    never otherwise.
+    """
     completed = trace.completed
-    full_violations = check_suffix(trace, 0)
-    atomic_from: Optional[int] = None
-    for start in range(0, max(len(completed) - 1, 1)):
-        if len(completed) - start < 2:
-            break
-        if not check_suffix(trace, start):
-            atomic_from = start
-            break
+    found = [*_regularity(trace, 0), *_inversions(trace, 0)]
+    cut = max((c for _v, c in found), default=0)
+    atomic_from = cut if cut <= max(len(completed) - 2, 0) else None
     stats = {
         "completed_operations": len(completed),
         "writes_before_stabilization": (
@@ -242,4 +289,4 @@ def find_stabilization(trace: Trace, metrics: Optional[dict] = None) -> Verdict:
     }
     if metrics:
         stats["epoch_changes"] = metrics.get("epoch_changes")
-    return Verdict(atomic_from, full_violations, stats)
+    return Verdict(atomic_from, [v for v, _c in found], stats)

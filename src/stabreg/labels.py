@@ -75,14 +75,6 @@ def precedes_b(a: Label, b: Label) -> bool:
     return (a.sting in b.antistings) and (b.sting not in a.antistings)
 
 
-def pick(candidates: Iterable[int]) -> int:
-    """Deterministic refinement of the arbitrary choice: the smallest element."""
-    try:
-        return min(candidates)
-    except ValueError:
-        raise LabelError("pick() called with an empty candidate set") from None
-
-
 def next_label(labels: Iterable[Label], params: LabelParams) -> Label:
     """Build a label strictly above every member of ``labels`` (at most k of them).
 
@@ -195,23 +187,16 @@ def incomparable_family(
     return labels
 
 
-def dominating_params(queue_capacity: int) -> LabelParams:
-    """Params whose k admits next_label over a full queue of that capacity."""
-    return LabelParams(max(2, queue_capacity))
-
-
 __all__: Sequence[str] = [
     "Label",
     "LabelError",
     "LabelParams",
     "all_labels",
-    "dominating_params",
     "format_label",
     "incomparable_family",
     "make_label",
     "next_label",
     "parse_label",
-    "pick",
     "precedes_b",
     "random_label",
 ]

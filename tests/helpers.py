@@ -1,8 +1,10 @@
-"""Shared test helpers: brute-force linearization and random trace fixtures.
+"""Shared test helpers: brute-force oracles and random trace fixtures.
 
 The brute-force check enumerates linearizations respecting real-time order
 and register semantics directly; it is deliberately independent of the
 checker's write-index characterization so the two can cross-validate.
+The suffix scan is the brute-force counterpart of ``find_stabilization``'s
+cut computation.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ import json
 import random
 from dataclasses import dataclass
 
+from stabreg.checker import Trace, check_suffix
 from stabreg.protocol import INITIAL_VALUE
 
 
@@ -122,3 +125,69 @@ def random_ops(seed: int, max_ops: int = 8) -> dict[int, list[Op]]:
 
 def all_ops(ops_by_proc: dict[int, list[Op]]) -> list[Op]:
     return [op for ops in ops_by_proc.values() for op in ops]
+
+
+def suffix_scan_atomic_from(trace: Trace):
+    """``atomic_from`` by re-checking the suffix from every start in turn.
+
+    A verdict needs a suffix of at least two operations; a shorter trace is
+    atomic from 0 exactly when it has no violation.  Quadratic in checks.
+    """
+    completed = trace.completed
+    if len(completed) < 2:
+        return None if check_suffix(trace) else 0
+    for start in range(len(completed) - 1):
+        if not check_suffix(trace, start):
+            return start
+    return None
+
+
+def late_stale_trace(operations: int, readers: int = 4, stale_at: float = 0.9,
+                     seed: int = 0) -> tuple[list[str], int]:
+    """Single-writer trace with one stale read; returns (lines, its cut).
+
+    One writer (processor 0) and ``readers`` readers run sequential
+    operations that a seeded scheduler interleaves, one event per time unit,
+    until ``operations`` have completed.  Every read returns the last write
+    completed before its own response, which is atomic.  Then the first read
+    at or after completion rank ``stale_at * operations`` that follows a
+    completed write w_j returns w_j's predecessor instead.  It stays flagged
+    while the suffix holds w_j or a read that returned w_j or later and
+    completed before the stale read began, so the cut is one past the last
+    of those.
+    """
+    rng = random.Random(seed)
+    procs = range(readers + 1)
+    open_at: dict[int, int] = {}
+    done: list[tuple[int, int, int]] = []  # (proc, invoke, response), by response
+    time = invoked = 0
+    while len(done) < operations:
+        time += 1
+        proc = rng.choice(procs)
+        if proc in open_at:
+            done.append((proc, open_at.pop(proc), time))
+        elif invoked < operations:
+            open_at[proc] = time
+            invoked += 1
+
+    values = [INITIAL_VALUE]  # values[w + 1] is the w-th write's value
+    widx = []  # per completed operation: the write it wrote or returned
+    for proc, _invoke, _response in done:
+        if proc == 0:
+            values.append(f"v#{len(values)}")
+        widx.append(len(values) - 2)
+
+    rank = next(r for r in range(round(stale_at * operations), operations)
+                if done[r][0] != 0
+                and any(p == 0 and resp < done[r][1] for p, _i, resp in done[:r]))
+    invoke = done[rank][1]
+    w_j = max(r for r in range(rank) if done[r][0] == 0 and done[r][2] < invoke)
+    cut = 1 + max([w_j] + [r for r in range(rank) if done[r][0] != 0
+                           and done[r][2] < invoke and widx[r] >= widx[w_j]])
+    widx[rank] = widx[w_j] - 1
+
+    ops_by_proc: dict[int, list[Op]] = {p: [] for p in procs}
+    for (proc, invoke, response), w in zip(done, widx):
+        kind = "write" if proc == 0 else "read"
+        ops_by_proc[proc].append(Op(kind, values[w + 1], invoke, response))
+    return make_trace_lines(ops_by_proc), cut

@@ -1,6 +1,8 @@
 import json
+import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from stabreg.checker import (
     TraceError,
@@ -11,7 +13,17 @@ from stabreg.checker import (
     parse_trace,
 )
 
-from helpers import Op, all_ops, linearizable_swmr, make_trace_lines, random_ops
+from stabreg.protocol import INITIAL_VALUE
+
+from helpers import (
+    Op,
+    all_ops,
+    late_stale_trace,
+    linearizable_swmr,
+    make_trace_lines,
+    random_ops,
+    suffix_scan_atomic_from,
+)
 
 
 def parsed(ops_by_proc):
@@ -57,6 +69,49 @@ def test_parse_rejects_garbage():
                                  "op_id": "a"})])
     with pytest.raises(TraceError):
         parse_trace([json.dumps({"step": 1, "proc": 0})])
+
+
+def event(step, proc, kind, op_id, **extra):
+    return json.dumps({"step": step, "proc": proc, "event": kind,
+                       "op_id": op_id, **extra})
+
+
+def test_parse_rejects_second_writer():
+    lines = make_trace_lines({0: [Op("write", "v#1", 1, 2)]}) + [
+        event(3, 1, "write_invoke", "w2", value="v#2"),
+    ]
+    with pytest.raises(TraceError, match="writer"):
+        parse_trace(lines)
+
+
+def test_parse_rejects_repeated_written_value():
+    lines = make_trace_lines({0: [Op("write", "v#1", 1, 2),
+                                  Op("write", "v#1", 3, 4)]})
+    with pytest.raises(TraceError, match="written twice"):
+        parse_trace(lines)
+
+
+def test_parse_rejects_reused_op_id():
+    across = [event(1, 0, "write_invoke", "a", value="v#1"),
+              event(2, 1, "read_invoke", "a")]
+    on_one_proc = [event(1, 1, "read_invoke", "a"),
+                   event(2, 1, "read_response", "a", value="v_init"),
+                   event(3, 1, "read_invoke", "a")]
+    for lines in (across, on_one_proc):
+        with pytest.raises(TraceError, match="used twice"):
+            parse_trace(lines)
+
+
+def test_parse_orders_and_maps_operations():
+    trace = parsed({
+        1: [Op("read", "v#2", 1, 2), Op("read", "corrupt", 7, 8)],
+        0: [Op("write", "v#1", 3, 4), Op("write", "v#2", 5, 6)],
+    })
+    assert [op.op_id for op in trace.completed] == [
+        op.op_id for op in sorted(trace.operations, key=lambda op: op.response_pos)]
+    assert [op.rank for op in trace.completed] == list(range(4))
+    assert [op.widx for op in trace.writes] == [0, 1]
+    assert [op.widx for op in trace.completed if op.kind == "read"] == [1, -1]
 
 
 def test_clean_history_passes():
@@ -171,3 +226,99 @@ def test_agrees_with_brute_force_on_random_histories():
         seen_good += brute_ok
     assert not disagreements
     assert seen_good > 100 and seen_bad > 100  # the sample exercises both
+
+
+def test_degenerate_traces():
+    # no completed operation: nothing can be violated
+    assert find_stabilization(parse_trace([])).atomic_from == 0
+    pending = parse_trace([event(1, 0, "write_invoke", "w1", value="v#1")])
+    assert find_stabilization(pending).atomic_from == 0
+    # one completed operation without a violation
+    single = parsed({0: [Op("write", "v#1", 1, 2)]})
+    verdict = find_stabilization(single)
+    assert verdict.atomic_from == 0
+    assert verdict.stats["writes_before_stabilization"] == 0
+    # one completed read of a value written only after it ended
+    future = parse_trace(make_trace_lines({1: [Op("read", "v#1", 1, 2)]}) + [
+        event(3, 0, "write_invoke", "w1", value="v#1"),
+    ])
+    verdict = find_stabilization(future)
+    assert [v.rule for v in verdict.violations] == ["regularity"]
+    assert verdict.atomic_from is None
+
+
+def test_inversion_cut_is_latest_newer_read():
+    # p1op3 and p2op5 (ranks 1 and 2) both returned v#2 before p1op4 went
+    # back to v#1: p1op4 stays inverted until the suffix drops p2op5
+    trace = parsed({
+        0: [Op("write", "v#1", 1, 2), Op("write", "v#2", 3, 30)],
+        1: [Op("read", "v#2", 4, 5), Op("read", "v#1", 10, 11)],
+        2: [Op("read", "v#2", 6, 7), Op("read", "v#2", 12, 13)],
+    })
+    verdict = find_stabilization(trace)
+    assert [v.rule for v in verdict.violations] == ["new-old-inversion"]
+    assert verdict.violations[0].op_ids == ("p1op3", "p1op4")  # names the first
+    assert verdict.atomic_from == 3 == suffix_scan_atomic_from(trace)
+
+
+@pytest.mark.parametrize("max_ops", [8, 14])
+def test_cuts_match_suffix_scan_on_random_histories(max_ops):
+    disagreements = []
+    late = 0
+    for seed in range(3000):
+        trace = parsed(random_ops(seed, max_ops))
+        got = find_stabilization(trace).atomic_from
+        if got != suffix_scan_atomic_from(trace):
+            disagreements.append(seed)
+        late += got not in (0, None)
+    assert not disagreements
+    assert late > 500  # the sample exercises cuts past the first operation
+
+
+@st.composite
+def swmr_traces(draw):
+    """Single-writer histories with overlapping readers, pending operations,
+    aborted reads, corrupt values and reads of values written only later."""
+    readers = draw(st.integers(1, 3))
+    moves = draw(st.lists(st.tuples(st.integers(0, readers), st.integers(0, 9)),
+                          max_size=30))
+    lines, open_op, writes = [], {}, 0
+    for step, (proc, choice) in enumerate(moves):
+        if proc not in open_op:
+            open_op[proc] = op_id = f"op{step}"
+            if proc == 0:
+                writes += 1
+                lines.append(event(step, 0, "write_invoke", op_id, value=f"v#{writes}"))
+            else:
+                lines.append(event(step, proc, "read_invoke", op_id))
+        elif proc == 0:
+            lines.append(event(step, 0, "write_response", open_op.pop(0)))
+        elif choice == 9:
+            lines.append(event(step, proc, "read_response", open_op.pop(proc),
+                               value="__abort__", abort=True))
+        else:
+            # values up to two writes ahead: some are written later, some never
+            values = [INITIAL_VALUE, "corrupt#1"] + [f"v#{w}"
+                                                     for w in range(1, writes + 3)]
+            lines.append(event(step, proc, "read_response", open_op.pop(proc),
+                               value=values[choice % len(values)]))
+    return lines
+
+
+@settings(max_examples=400, deadline=None)
+@given(swmr_traces())
+def test_cuts_match_suffix_scan_on_generated_histories(lines):
+    trace = parse_trace(lines)
+    assert find_stabilization(trace).atomic_from == suffix_scan_atomic_from(trace)
+
+
+def test_late_violation_scales():
+    lines, cut = late_stale_trace(20_001)
+    trace = parse_trace(lines)
+    started = time.perf_counter()
+    verdict = find_stabilization(trace)
+    elapsed = time.perf_counter() - started
+    assert len(trace.completed) == 20_001
+    assert cut > 17_000
+    assert verdict.atomic_from == cut
+    assert elapsed < 5.0

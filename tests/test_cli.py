@@ -98,6 +98,46 @@ def test_check_malformed_trace(tmp_path, capsys):
     assert "malformed trace" in capsys.readouterr().err
 
 
+def check_lines(tmp_path, lines):
+    path = tmp_path / "trace.jsonl"
+    path.write_text("".join(json.dumps(event) + "\n" for event in lines))
+    return main(["check", str(path)])
+
+
+def event(step, proc, kind, op_id, **extra):
+    return {"step": step, "proc": proc, "event": kind, "op_id": op_id, **extra}
+
+
+@pytest.mark.parametrize("lines, reason", [
+    ([event(1, 0, "write_invoke", "w1", value="v#1"),
+      event(2, 1, "write_invoke", "w2", value="v#2")], "writer"),
+    ([event(1, 0, "write_invoke", "w1", value="v#1"),
+      event(2, 0, "write_response", "w1"),
+      event(3, 0, "write_invoke", "w2", value="v#1")], "written twice"),
+    ([event(1, 0, "write_invoke", "x", value="v#1"),
+      event(2, 1, "read_invoke", "x")], "used twice"),
+], ids=["second-writer", "repeated-value", "reused-op-id"])
+def test_check_rejects_unsupported_trace(tmp_path, capsys, lines, reason):
+    assert check_lines(tmp_path, lines) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "malformed trace" in captured.err and reason in captured.err
+
+
+def test_check_degenerate_traces(tmp_path, capsys):
+    assert check_lines(tmp_path, []) == 0
+    assert json.loads(capsys.readouterr().out)["atomic_from"] == 0
+    single_write = [event(1, 0, "write_invoke", "w1", value="v#1"),
+                    event(2, 0, "write_response", "w1")]
+    assert check_lines(tmp_path, single_write) == 0
+    assert json.loads(capsys.readouterr().out)["atomic_from"] == 0
+    read_from_future = [event(1, 1, "read_invoke", "r1"),
+                        event(2, 1, "read_response", "r1", value="v#1"),
+                        event(3, 0, "write_invoke", "w1", value="v#1")]
+    assert check_lines(tmp_path, read_from_future) == 1
+    assert json.loads(capsys.readouterr().out)["atomic_from"] == "never"
+
+
 def test_game_within_bound(capsys):
     rc = main(["game", "--m", "2", "--seeds", "25", "--strategy", "insert-finder"])
     assert rc == 0

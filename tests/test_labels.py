@@ -12,7 +12,6 @@ from stabreg.labels import (
     make_label,
     next_label,
     parse_label,
-    pick,
     precedes_b,
     random_label,
 )
@@ -47,13 +46,6 @@ def test_precedes_incomparable_pair():
 def test_precedes_irreflexive_exhaustive_k2():
     for label in all_labels(P2):
         assert not precedes_b(label, label)
-
-
-def test_pick_is_minimum():
-    assert pick({4}) == 4
-    assert pick({3, 1, 5}) == 1
-    with pytest.raises(LabelError):
-        pick(set())
 
 
 def test_next_label_worked_example():
