@@ -6,13 +6,18 @@ Label ``a`` precedes label ``b`` when a's sting is caught in b's antistings
 while b's sting avoids a's antistings.  Given any collection of at most k
 labels, even mutually incomparable ones that no generator ever produced,
 ``next_label`` builds a label strictly above all of them.
+
+Each label lazily caches its antistings as an int bitmask (bit ``a`` set for
+antisting ``a``), so ``next_label`` searches for a free sting with a few
+word operations per input label instead of rebuilding a set of up to k*k
+elements.  A label that never reaches ``next_label`` never builds its mask.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from typing import Collection, Iterable, Optional, Sequence
 
 
 class LabelError(ValueError):
@@ -40,15 +45,13 @@ class Label:
 
     sting: int
     antistings: frozenset[int]
-    _hash: int = field(init=False, repr=False, compare=False, default=0)
 
-    def __post_init__(self):
-        object.__setattr__(
-            self, "_hash", hash((self.sting, tuple(sorted(self.antistings))))
-        )
-
-    def __hash__(self):
-        return self._hash
+    # The antistings as an int bitmask (bit ``a`` set for antisting ``a``),
+    # filled in by ``next_label`` the first time the label reaches it.  A
+    # plain field keeps every attribute read on the interpreter's fast path;
+    # ``functools.cached_property`` or ``__getattr__`` slowed the
+    # many-small-label game workload measurably.
+    _mask: Optional[int] = field(default=None, init=False, repr=False, compare=False)
 
     def validate(self, params: LabelParams) -> None:
         K = params.universe_size
@@ -60,6 +63,27 @@ class Label:
             )
         if not all(1 <= a <= K for a in self.antistings):
             raise LabelError("antisting outside universe")
+
+
+def _bitmask(elements: Collection[int], K: int) -> int:
+    """Bitmask of the non-empty ``elements``, each of which must lie in 1..K."""
+    top = max(elements)
+    if min(elements) < 1 or top > K:
+        raise LabelError(f"antisting outside universe 1..{K}")
+    if top < 4096:
+        # each or copies at most a few hundred bytes: cheaper per element
+        # than the byte-array update below
+        mask = 0
+        for a in elements:
+            mask |= 1 << a
+        return mask
+    # Or-ing would copy the growing int once per element, quadratic when the
+    # elements spread over a large universe; filling a byte array and
+    # converting it once stays linear.
+    bits = bytearray(top // 8 + 1)
+    for a in elements:
+        bits[a >> 3] |= 1 << (a & 7)
+    return int.from_bytes(bits, "little")
 
 
 def make_label(sting: int, antistings: Iterable[int]) -> Label:
@@ -79,10 +103,13 @@ def next_label(labels: Iterable[Label], params: LabelParams) -> Label:
     """Build a label strictly above every member of ``labels`` (at most k of them).
 
     The antisting set collects the input stings, padded with the smallest
-    unused universe elements; the sting is chosen outside every input
-    antisting set (always possible: k sets of size k cannot cover all
-    k*k + 1 universe elements).  Among valid stings, one outside the new
-    antisting set is preferred when it exists.
+    unused universe elements.  The sting must avoid every input antisting
+    set, and one outside the new antisting set is preferred, so it is the
+    lowest zero bit of ``blocked | mask(new antistings)``, where ``blocked``
+    ors the inputs' cached masks with bit 0 (outside the universe).  When
+    that bit lies above K, the sting falls back to the lowest zero bit of
+    ``blocked`` alone, which is at most K: at most k input sets of k
+    elements each leave at least one of the k*k + 1 universe elements free.
     """
     labels = list(labels)
     k = params.k
@@ -103,20 +130,22 @@ def next_label(labels: Iterable[Label], params: LabelParams) -> Label:
             break
         antistings.add(x)
 
-    blocked = set().union(*(lab.antistings for lab in labels))
-    sting = None
-    fallback = None
-    for x in range(1, K + 1):
-        if x in blocked:
-            continue
-        if fallback is None:
-            fallback = x
-        if x not in antistings:
-            sting = x
-            break
-    if sting is None:
-        sting = fallback  # guaranteed non-None by the counting argument
-    return Label(sting, frozenset(antistings))
+    blocked = 1
+    for lab in labels:
+        mask = lab._mask
+        if mask is None:
+            mask = _bitmask(lab.antistings, K)
+            object.__setattr__(lab, "_mask", mask)
+        blocked |= mask
+    new_mask = _bitmask(antistings, K)
+    taken = blocked | new_mask
+    sting = (~taken & (taken + 1)).bit_length() - 1
+    if sting > K:
+        sting = (~blocked & (blocked + 1)).bit_length() - 1
+    label = Label(sting, frozenset(antistings))
+    # the next epoch change reads this label's mask: keep the one built here
+    object.__setattr__(label, "_mask", new_mask)
+    return label
 
 
 def format_label(label: Label) -> str:

@@ -15,7 +15,7 @@ import random
 from dataclasses import dataclass, field, asdict
 from typing import Optional
 
-from .labels import Label, incomparable_family, random_label
+from .labels import incomparable_family, random_label
 from .protocol import (
     INITIAL_VALUE,
     QR_RESP,
@@ -28,7 +28,7 @@ from .protocol import (
     ProtocolParams,
     WRITER_ID,
 )
-from .timestamps import EpochsQueue, Timestamp, format_timestamp
+from .timestamps import EpochsQueue, Timestamp
 
 CORRUPTION_MODES = ("none", "random", "near-wrap", "hidden-epoch")
 PROTOCOLS = ("bounded", "oracle")
@@ -138,7 +138,7 @@ def _parse_crashes(value: str) -> list[tuple[int, int]]:
 
 def scenario_to_dict(config: ScenarioConfig) -> dict:
     d = asdict(config)
-    d["crashes"] = [f"{pid}@{step}" for step, pid in config.crashes]
+    d["crashes"] = [f"{pid}@{step}" for step, pid in sorted(config.crashes)]
     return d
 
 
@@ -156,6 +156,8 @@ class Simulation:
         self.step_count = 0
         self.events: list[dict] = []
         self.crashed: set[int] = set()
+        # latest first, so the next crash due is popped off the end
+        self._pending_crashes = sorted(config.crashes, reverse=True)
         self.audit = audit
         self._audit_ids: set[int] = set()
         self.pid_history: list[int] = []  # populated only under audit
@@ -191,14 +193,12 @@ class Simulation:
 
     # -- construction --------------------------------------------------
 
-    def _record(self, pid: int, kind: str, op_id: str, value, ts=None):
+    def _record(self, pid: int, kind: str, op_id: str, value):
         event = {"step": self.step_count, "proc": pid, "event": kind, "op_id": op_id}
         if kind == "read_response" and value == ABORT:
             event["abort"] = True
         elif value is not None:
             event["value"] = value
-        if ts is not None:
-            event["timestamp"] = ts
         self.events.append(event)
 
     def _build_processors(self):
@@ -313,9 +313,9 @@ class Simulation:
                 return pid
 
     def _apply_crashes(self):
-        for step, pid in self.config.crashes:
-            if step <= self.step_count:
-                self.crashed.add(pid)
+        pending = self._pending_crashes
+        while pending and pending[-1][0] <= self.step_count:
+            self.crashed.add(pending.pop()[1])
 
     def _poll_client(self, pid: int):
         proc = self.procs[pid]

@@ -4,7 +4,7 @@ The brute-force check enumerates linearizations respecting real-time order
 and register semantics directly; it is deliberately independent of the
 checker's write-index characterization so the two can cross-validate.
 The suffix scan is the brute-force counterpart of ``find_stabilization``'s
-cut computation.
+cut computation, and the set-based search is ``next_label``'s counterpart.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ import random
 from dataclasses import dataclass
 
 from stabreg.checker import Trace, check_suffix
+from stabreg.labels import Label, LabelParams
 from stabreg.protocol import INITIAL_VALUE
 
 
@@ -191,3 +192,35 @@ def late_stale_trace(operations: int, readers: int = 4, stale_at: float = 0.9,
         kind = "write" if proc == 0 else "read"
         ops_by_proc[proc].append(Op(kind, values[w + 1], invoke, response))
     return make_trace_lines(ops_by_proc), cut
+
+
+def set_scan_next_label(labels: list[Label], params: LabelParams) -> Label:
+    """``next_label`` by scanning the universe against a set of blocked stings.
+
+    The same antisting padding, but the sting is the first universe element
+    outside the union of the input antistings, preferring one outside the new
+    antisting set.  Rebuilds a set of up to k*k elements on every call.
+    """
+    k = params.k
+    K = params.universe_size
+    if not labels:
+        return Label(1, frozenset(range(1, k + 1)))
+    antistings = {lab.sting for lab in labels}
+    for x in range(1, K + 1):
+        if len(antistings) == k:
+            break
+        antistings.add(x)
+    blocked = set().union(*(lab.antistings for lab in labels))
+    sting = None
+    fallback = None
+    for x in range(1, K + 1):
+        if x in blocked:
+            continue
+        if fallback is None:
+            fallback = x
+        if x not in antistings:
+            sting = x
+            break
+    if sting is None:
+        sting = fallback
+    return Label(sting, frozenset(antistings))

@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,6 +16,8 @@ from stabreg.labels import (
     precedes_b,
     random_label,
 )
+
+from helpers import set_scan_next_label
 
 P2 = LabelParams(2)
 
@@ -109,6 +112,87 @@ def test_next_label_dominance_property(data):
     result.validate(params)
     for member in labels:
         assert precedes_b(member, result)
+
+
+@st.composite
+def label_inputs(draw):
+    """Up to k arbitrary labels, most of them never generated by anything.
+
+    Stings may repeat and may sit inside their own antistings.  In tight
+    mode the antisting sets are disjoint chunks of a shuffled universe, so
+    they block all but one element and the fallback sting is often taken.
+    """
+    k = draw(st.integers(2, 12))
+    params = LabelParams(k)
+    K = params.universe_size
+    universe = st.integers(1, K)
+    size = draw(st.integers(0, k))
+    if draw(st.booleans()):
+        order = draw(st.permutations(range(1, K + 1)))
+        chunks = [order[i * k:(i + 1) * k] for i in range(size)]
+    else:
+        chunks = [draw(st.sets(universe, min_size=k, max_size=k)) for _ in range(size)]
+    labels = []
+    for chunk in chunks:
+        if labels and draw(st.booleans()):
+            sting = draw(st.sampled_from([lab.sting for lab in labels]))
+        elif draw(st.booleans()):
+            sting = draw(st.sampled_from(sorted(chunk)))
+        else:
+            sting = draw(universe)
+        labels.append(make_label(sting, chunk))
+    return params, labels
+
+
+@settings(max_examples=500, deadline=None)
+@given(label_inputs())
+def test_next_label_matches_set_scan(case):
+    params, labels = case
+    assert next_label(labels, params) == set_scan_next_label(labels, params)
+
+
+def full_queue(kind: str, seed: int, params: LabelParams) -> list:
+    rng = random.Random(seed)
+    if kind == "random":
+        return [random_label(rng, params) for _ in range(params.k)]
+    return incomparable_family(params.k, params, rng)
+
+
+@pytest.mark.parametrize("kind", ["random", "incomparable"])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_next_label_matches_set_scan_on_full_queue(kind, seed):
+    params = LabelParams(500)
+    queue = full_queue(kind, seed, params)
+    result = next_label(queue, params)
+    assert result == set_scan_next_label(queue, params)
+    assert all(precedes_b(member, result) for member in queue)
+    # an epoch change: the new label joins the queue and the oldest leaves
+    queue = [result] + queue[:-1]
+    assert next_label(queue, params) == set_scan_next_label(queue, params)
+
+
+def test_next_label_repeat_calls_over_full_queue_are_fast():
+    params = LabelParams(500)
+    queue = full_queue("random", 0, params)
+    start = time.perf_counter()
+    for _ in range(100):
+        next_label(queue, params)
+    assert time.perf_counter() - start < 2.0
+
+
+def test_masks_are_built_only_by_next_label():
+    label = random_label(random.Random(0), P2)
+    assert label._mask is None
+    result = next_label([label], P2)
+    for lab in (label, result):
+        assert lab._mask == sum(1 << a for a in lab.antistings)
+
+
+def test_next_label_rejects_antisting_outside_universe():
+    with pytest.raises(LabelError):
+        next_label([make_label(1, {2, 6})], P2)
+    with pytest.raises(LabelError):
+        next_label([make_label(1, {-1, 2})], P2)
 
 
 def test_domain_size_k2():

@@ -119,6 +119,12 @@ def test_crashed_minority_does_not_block_survivors():
     assert find_stabilization(trace, metrics).atomic_from == 0
 
 
+def test_unsorted_crash_schedule_gives_the_same_trace():
+    ordered = run_scenario(small_config(crashes=[(400, 2), (900, 4)]))
+    shuffled = run_scenario(small_config(crashes=[(900, 4), (400, 2)]))
+    assert shuffled == ordered
+
+
 def test_lossy_links_still_make_progress():
     config = small_config(loss_prob=0.2, writes=10)
     lines, metrics = run_scenario(config)
