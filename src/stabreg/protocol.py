@@ -18,7 +18,7 @@ not part of the protocol's bounded state.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Optional
+from typing import Any, Callable, NamedTuple, Optional
 
 from .labels import Label, LabelParams, next_label, precedes_b
 from .timestamps import (
@@ -38,8 +38,7 @@ QW_ACK = "QW_ACK"
 WRITER_ID = 0
 
 
-@dataclass(frozen=True)
-class Message:
+class Message(NamedTuple):
     kind: str
     nonce: tuple[int, int]
     sender: int
@@ -120,6 +119,7 @@ class QuorumProcessor:
         self.phase: Optional[Phase] = None
         self._nonce_counter = 0
         self.op_id: Optional[str] = None
+        self._peers = [d for d in range(params.n) if d != pid]
         # metrics, reset by the simulator's collectors
         self.phase_log: list[tuple[str, int, int]] = []  # (kind, #req dests, #resp)
 
@@ -144,20 +144,14 @@ class QuorumProcessor:
         ph = self.phase
         if ph is None:
             return None
-        pending = [d for d in range(self.params.n) if d != self.pid and d not in ph.responses]
+        responses = ph.responses
+        pending = [d for d in self._peers if d not in responses]
         if not pending:
             return None
         dest = pending[ph.rr % len(pending)]
         ph.rr += 1
         ph.distinct_requests.add(dest)
         return Message(ph.kind, ph.nonce, self.pid, dest, ph.payload)
-
-    def _phase_matches(self, msg: Message, resp_kind: str) -> bool:
-        return (
-            self.phase is not None
-            and msg.kind == resp_kind
-            and msg.nonce == self.phase.nonce
-        )
 
     @property
     def idle(self) -> bool:
@@ -166,22 +160,24 @@ class QuorumProcessor:
     # -- dispatch ------------------------------------------------------
 
     def on_message(self, msg: Message) -> list[Message]:
-        if msg.kind == QR_REQ:
+        kind = msg.kind
+        if kind == QR_REQ:
             return [Message(QR_RESP, msg.nonce, self.pid, msg.sender, self.snapshot())]
-        if msg.kind == QW_REQ:
+        if kind == QW_REQ:
             self.apply_quorum_write(msg.payload)
             return [Message(QW_ACK, msg.nonce, self.pid, msg.sender)]
-        if self._phase_matches(msg, QR_RESP) and self.phase.kind == QR_REQ:
-            self.phase.responses[msg.sender] = msg.payload
-            if len(self.phase.responses) >= self.params.quorum:
+        ph = self.phase
+        if ph is None or msg.nonce != ph.nonce:
+            return []  # no phase in flight, or a stale nonce: discard
+        if kind == QR_RESP and ph.kind == QR_REQ:
+            ph.responses[msg.sender] = msg.payload
+            if len(ph.responses) >= self.params.quorum:
                 self.on_quorum_read_done()
-            return []
-        if self._phase_matches(msg, QW_ACK) and self.phase.kind == QW_REQ:
-            self.phase.responses[msg.sender] = True
-            if len(self.phase.responses) >= self.params.quorum:
+        elif kind == QW_ACK and ph.kind == QW_REQ:
+            ph.responses[msg.sender] = True
+            if len(ph.responses) >= self.params.quorum:
                 self.on_quorum_write_done()
-            return []
-        return []  # stale nonce or unexpected kind: discard
+        return []
 
     # -- hooks ---------------------------------------------------------
 
@@ -212,7 +208,6 @@ class BoundedWriter(QuorumProcessor):
                  epochs: Optional[EpochsQueue] = None):
         super().__init__(WRITER_ID, params, recorder)
         self.ml: Timestamp = ml if ml is not None else params.initial_timestamp()
-        self.cl: MaybeTimestamp = None  # never consulted on the write path
         self.value = value
         self.epochs = epochs if epochs is not None else EpochsQueue(params.queue_capacity)
         self.epoch_changes = 0
@@ -226,7 +221,8 @@ class BoundedWriter(QuorumProcessor):
         self._begin_phase(QR_REQ, self_response=self.snapshot())
 
     def snapshot(self):
-        return (self.ml, self.cl, self.value)
+        # the writer keeps no canceling evidence: its cl slot is always bottom
+        return (self.ml, None, self.value)
 
     def apply_quorum_write(self, payload) -> None:
         ts, _value = payload

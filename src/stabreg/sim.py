@@ -159,13 +159,20 @@ class Simulation:
         # latest first, so the next crash due is popped off the end
         self._pending_crashes = sorted(config.crashes, reverse=True)
         self.audit = audit
-        self._audit_ids: set[int] = set()
+        # messages planted or sent since the last audit, plus those still in
+        # a link, by id; holding each message keeps a forgery from taking
+        # its id
+        self._audit_sent: dict[int, Message] = {}
         self.pid_history: list[int] = []  # populated only under audit
 
         n = config.n
         self.links: dict[tuple[int, int], list[Message]] = {
             (i, j): [] for i in range(n) for j in range(n) if i != j
         }
+        # the same link lists by destination, in sender order: the link
+        # s -> j is self._inbound[j][s - (s > j)]
+        self._inbound = [[self.links[(i, j)] for i in range(n) if i != j]
+                         for j in range(n)]
         self.outboxes: list[list[Message]] = [[] for _ in range(n)]
         self._send_toggle = [False] * n
         self._schedule: list[int] = []
@@ -174,7 +181,7 @@ class Simulation:
         self._corrupt_links()
         if audit:
             for box in self.links.values():
-                self._audit_ids.update(id(m) for m in box)
+                self._audit_sent.update((id(m), m) for m in box)
 
         self.writes_done = 0
         self._write_counter = 0
@@ -194,10 +201,25 @@ class Simulation:
     # -- construction --------------------------------------------------
 
     def _record(self, pid: int, kind: str, op_id: str, value):
+        """Append one trace event and count the operation it completes."""
         event = {"step": self.step_count, "proc": pid, "event": kind, "op_id": op_id}
-        if kind == "read_response" and value == ABORT:
-            event["abort"] = True
-        elif value is not None:
+        if kind == "write_response":
+            self.writes_done += 1
+        elif kind == "read_response":
+            if value == ABORT:
+                value = None
+                event["abort"] = True
+                self.reads_aborted += 1
+                backoff = self.config.read_backoff
+                self._abort_streak[pid] += 1
+                if self._abort_streak[pid] >= self.config.read_retry_cap:
+                    backoff *= 10
+                    self._abort_streak[pid] = 0
+                self._reader_wait[pid] = backoff
+            else:
+                self.reads_done += 1
+                self._abort_streak[pid] = 0
+        if value is not None:
             event["value"] = value
         self.events.append(event)
 
@@ -298,29 +320,16 @@ class Simulation:
 
     # -- scheduling ----------------------------------------------------
 
-    def _next_proc(self) -> Optional[int]:
-        # Round-based fairness floor: every non-crashed processor appears
-        # once per shuffled round, so any window of 2 * n steps covers all.
-        while True:
-            if not self._schedule:
-                alive = [p for p in range(self.config.n) if p not in self.crashed]
-                if not alive:
-                    return None
-                self._schedule = alive[:]
-                self.rng.shuffle(self._schedule)
-            pid = self._schedule.pop()
-            if pid not in self.crashed:
-                return pid
-
     def _apply_crashes(self):
-        pending = self._pending_crashes
+        pending, schedule = self._pending_crashes, self._schedule
         while pending and pending[-1][0] <= self.step_count:
-            self.crashed.add(pending.pop()[1])
+            pid = pending.pop()[1]
+            self.crashed.add(pid)
+            if pid in schedule:
+                schedule.remove(pid)
 
-    def _poll_client(self, pid: int):
-        proc = self.procs[pid]
-        if not proc.idle:
-            return
+    def _poll_client(self, pid: int, proc):
+        """Start the next operation of an idle processor, if one is due."""
         if pid == WRITER_ID:
             if self._write_counter < self.config.writes:
                 self._write_counter += 1
@@ -337,78 +346,56 @@ class Simulation:
     # -- the step relation ---------------------------------------------
 
     def step(self) -> None:
+        """One scheduler step: the next processor sends or receives once."""
         self.step_count += 1
-        self._apply_crashes()
-        pid = self._next_proc()
-        if pid is None:
-            return
+        pending = self._pending_crashes
+        if pending and pending[-1][0] <= self.step_count:
+            self._apply_crashes()
+        rng = self.rng
+        schedule = self._schedule
+        if not schedule:
+            # Round-based fairness floor: every non-crashed processor appears
+            # once per shuffled round, so any window of 2 * n steps covers all.
+            crashed = self.crashed
+            schedule.extend([p for p in range(self.config.n) if p not in crashed])
+            rng.shuffle(schedule)
+        pid = schedule.pop()
         if self.audit:
             self.pid_history.append(pid)
-        self._poll_client(pid)
         proc = self.procs[pid]
+        if proc.phase is None:
+            self._poll_client(pid, proc)
 
         outbox = self.outboxes[pid]
-        do_send = False
-        if outbox or not proc.idle:
-            self._send_toggle[pid] = not self._send_toggle[pid]
-            do_send = self._send_toggle[pid]
-
-        if do_send:
-            msg = outbox.pop(0) if outbox else proc.next_send()
+        if outbox or proc.phase is not None:
+            toggle = self._send_toggle
+            toggle[pid] = send = not toggle[pid]
+            msg = (outbox.pop(0) if outbox else proc.next_send()) if send else None
             if msg is not None:
-                self._deliver_to_link(msg)
+                self.message_sends += 1
+                if self.audit:
+                    self._audit_sent[id(msg)] = msg
+                if rng.random() < self.config.loss_prob:
+                    self.dropped_messages += 1
+                    return
+                sender, dest = msg.sender, msg.dest
+                box = self._inbound[dest][sender - (sender > dest)]
+                box.append(msg)
+                if len(box) > self.config.c:
+                    # full link: evict a random message from the union
+                    box.pop(rng.randrange(len(box)))
+                    self.dropped_messages += 1
                 return
-        self._receive(pid, proc)
 
-    def _deliver_to_link(self, msg: Message) -> None:
-        self.message_sends += 1
-        if self.audit:
-            self._audit_ids.add(id(msg))
-        if self.rng.random() < self.config.loss_prob:
-            self.dropped_messages += 1
-            return
-        box = self.links[(msg.sender, msg.dest)]
-        box.append(msg)
-        if len(box) > self.config.c:
-            # full link: evict a random message from the union
-            box.pop(self.rng.randrange(len(box)))
-            self.dropped_messages += 1
-
-    def _receive(self, pid: int, proc) -> None:
-        senders = [s for s in range(self.config.n) if s != pid]
-        nonempty = [s for s in senders if self.links[(s, pid)]]
         # mostly drain nonempty links, but keep null receives possible
-        if nonempty and self.rng.random() < 0.9:
-            sender = self.rng.choice(nonempty)
+        inbound = self._inbound[pid]
+        nonempty = [box for box in inbound if box]
+        if nonempty and rng.random() < 0.9:
+            box = rng.choice(nonempty)
         else:
-            sender = self.rng.choice(senders)
-        box = self.links[(sender, pid)]
-        if not box:
-            return  # null message
-        msg = box.pop(self.rng.randrange(len(box)))
-        replies = proc.on_message(msg)
-        self.outboxes[pid].extend(replies)
-        self._note_completions(pid)
-
-    def _note_completions(self, pid: int) -> None:
-        # track completed ops via events appended during this step
-        for event in reversed(self.events):
-            if event["step"] != self.step_count:
-                break
-            if event["event"] == "write_response":
-                self.writes_done += 1
-            elif event["event"] == "read_response":
-                if event.get("abort"):
-                    self.reads_aborted += 1
-                    self._abort_streak[pid] += 1
-                    backoff = self.config.read_backoff
-                    if self._abort_streak[pid] >= self.config.read_retry_cap:
-                        backoff *= 10
-                        self._abort_streak[pid] = 0
-                    self._reader_wait[pid] = backoff
-                else:
-                    self.reads_done += 1
-                    self._abort_streak[pid] = 0
+            box = rng.choice(inbound)
+        if box:  # else a null message
+            outbox.extend(proc.on_message(box.pop(rng.randrange(len(box)))))
 
     # -- oracle potential function -------------------------------------
 
@@ -445,11 +432,12 @@ class Simulation:
         oracle = cfg.protocol == "oracle"
         if oracle:
             self._g_prev = self._oracle_g()
+        step, audit = self.step, self.audit
         while self.step_count < cfg.steps:
-            self.step()
+            step()
             if oracle:
                 self._check_oracle_g()
-            if self.audit:
+            if audit:
                 self._check_audit()
             if self.writes_done >= cfg.writes and all(
                 p.idle for i, p in enumerate(self.procs) if i not in self.crashed
@@ -458,10 +446,14 @@ class Simulation:
         return self.metrics()
 
     def _check_audit(self):
+        in_links = {}
         for (i, j), box in self.links.items():
             assert len(box) <= self.config.c, f"capacity violated on link {(i, j)}"
             for msg in box:
-                assert id(msg) in self._audit_ids, "fabricated message in link"
+                assert self._audit_sent.get(id(msg)) is msg, "fabricated message in link"
+                in_links[id(msg)] = msg
+        # messages that left the links can no longer be forged into them
+        self._audit_sent = in_links
 
     def metrics(self) -> dict:
         phase_reqs = []

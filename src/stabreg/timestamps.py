@@ -25,6 +25,8 @@ MaybeTimestamp = Optional[Timestamp]
 
 BOTTOM: MaybeTimestamp = None
 
+_MISSING = object()
+
 
 def precedes_e(a: MaybeTimestamp, b: MaybeTimestamp) -> bool:
     """Strict timestamp order; bottom precedes every real timestamp."""
@@ -58,12 +60,10 @@ class EpochsQueue:
                 self.enqueue(label)
 
     def enqueue(self, label: Label) -> None:
-        if label in self._entries:
-            del self._entries[label]
-        elif len(self._entries) >= self.capacity:
-            oldest = next(iter(self._entries))
-            del self._entries[oldest]
-        self._entries[label] = None
+        entries = self._entries
+        if entries.pop(label, _MISSING) is _MISSING and len(entries) >= self.capacity:
+            del entries[next(iter(entries))]  # evict the oldest
+        entries[label] = None
 
     @property
     def entries(self) -> list[Label]:

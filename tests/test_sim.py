@@ -3,6 +3,7 @@ import json
 import pytest
 
 from stabreg.checker import find_stabilization, parse_trace
+from stabreg.protocol import Message
 from stabreg.sim import (
     ScenarioConfig,
     ScenarioError,
@@ -123,6 +124,23 @@ def test_unsorted_crash_schedule_gives_the_same_trace():
     ordered = run_scenario(small_config(crashes=[(400, 2), (900, 4)]))
     shuffled = run_scenario(small_config(crashes=[(900, 4), (400, 2)]))
     assert shuffled == ordered
+
+
+def test_audit_catches_a_message_planted_mid_run():
+    sim = Simulation(small_config(), audit=True)
+    for _ in range(300):
+        sim.step()
+    sim._check_audit()
+    box = next(box for box in sim.links.values() if box)
+    consumed = box.pop()
+    fields = (consumed.kind, consumed.nonce, consumed.sender, consumed.dest,
+              consumed.payload)
+    del consumed
+    # unless the audit still holds the consumed message, CPython tends to
+    # give the forgery its freed address, and so its id
+    box.append(Message(*fields))
+    with pytest.raises(AssertionError, match="fabricated message"):
+        sim._check_audit()
 
 
 def test_lossy_links_still_make_progress():
