@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import random
 import sys
 from pathlib import Path
 
@@ -39,7 +40,12 @@ def cmd_run(args) -> int:
     if args.seed is not None:
         config.seed = args.seed
     elif seed_env is not None:
-        config.seed = int(seed_env)
+        try:
+            config.seed = int(seed_env)
+        except ValueError:
+            print(f"error: STABREG_SEED must be an integer, got {seed_env!r}",
+                  file=sys.stderr)
+            return 2
     out = _out_dir(args)
     trace_path = Path(args.trace) if args.trace else out / f"trace-{config.seed}.jsonl"
     metrics_path = (
@@ -89,9 +95,7 @@ def cmd_game(args) -> int:
     max_round = 0
     failures = 0
     for seed in range(args.seed_start, args.seed_start + args.seeds):
-        import random as _random
-
-        hider = make_hider(args.strategy, args.m, _random.Random(seed ^ 0x5EED), params)
+        hider = make_hider(args.strategy, args.m, random.Random(seed ^ 0x5EED), params)
         result = play(
             hider,
             args.m,
@@ -119,8 +123,8 @@ def cmd_game(args) -> int:
 
 
 def cmd_labels(args) -> int:
-    params = LabelParams(args.k)
     try:
+        params = LabelParams(args.k)
         labels = [parse_label(text) for text in args.labels]
         for label in labels:
             label.validate(params)

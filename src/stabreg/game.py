@@ -171,6 +171,8 @@ def play(
     """
     if m < 1:
         raise GameError("m must be >= 1")
+    if queue_capacity is not None and queue_capacity < 1:
+        raise GameError("queue capacity must be >= 1")
     if params is None:
         params = LabelParams(2 * m)
     if max_rounds is None:

@@ -37,6 +37,10 @@ QW_ACK = "QW_ACK"
 
 WRITER_ID = 0
 
+# the value a read reports when its quorum read phase finds no timestamp
+# that dominates every view it collected
+ABORT = "__abort__"
+
 
 class Message(NamedTuple):
     kind: str
@@ -120,24 +124,39 @@ class QuorumProcessor:
         self._nonce_counter = 0
         self.op_id: Optional[str] = None
         self._peers = [d for d in range(params.n) if d != pid]
-        # metrics, reset by the simulator's collectors
-        self.phase_log: list[tuple[str, int, int]] = []  # (kind, #req dests, #resp)
+        # one (kind, #request destinations, #responses) entry per finished
+        # phase, appended and never reset; the simulator reads it for metrics
+        self.phase_log: list[tuple[str, int, int]] = []
 
     # -- phase helpers -------------------------------------------------
 
-    def _fresh_nonce(self) -> tuple[int, int]:
+    def _begin_phase(self, kind: str, payload=None) -> None:
         self._nonce_counter += 1
-        return (self.pid, self._nonce_counter)
-
-    def _begin_phase(self, kind: str, payload=None, self_response=None) -> None:
-        self.phase = Phase(kind, self._fresh_nonce(), payload)
-        if self_response is not None:
-            self.phase.responses[self.pid] = self_response
+        self.phase = Phase(kind, (self.pid, self._nonce_counter), payload)
 
     def _finish_phase(self) -> None:
         ph = self.phase
         self.phase_log.append((ph.kind, len(ph.distinct_requests), len(ph.responses)))
         self.phase = None
+
+    def _invoke(self, kind: str, op_id: str, value: Optional[str] = None) -> None:
+        """Record an operation's invocation and open its quorum read phase."""
+        assert self.idle, "one operation at a time per processor"
+        self.op_id = op_id
+        self.recorder(self.pid, kind, op_id, value)
+        self._begin_phase(QR_REQ)
+        self.phase.responses[self.pid] = self.snapshot()
+
+    def _respond(self, kind: str, value: Optional[str] = None) -> None:
+        """Record the response that completes the current operation."""
+        self.recorder(self.pid, kind, self.op_id, value)
+        self.op_id = None
+
+    def _begin_write_phase(self, payload) -> None:
+        """Open a quorum write phase, applying it locally as one's own ack."""
+        self._begin_phase(QW_REQ, payload=payload)
+        self.apply_quorum_write(payload)
+        self.phase.responses[self.pid] = True
 
     def next_send(self) -> Optional[Message]:
         """Next request retransmission for the in-flight phase, if any."""
@@ -203,22 +222,17 @@ class BoundedWriter(QuorumProcessor):
     """The single writer: discovers competing epochs via quorum reads and its
     epochs queue, then installs a dominating timestamp on a majority."""
 
-    def __init__(self, params: ProtocolParams, recorder: Recorder,
-                 ml: Optional[Timestamp] = None, value: str = INITIAL_VALUE,
-                 epochs: Optional[EpochsQueue] = None):
+    def __init__(self, params: ProtocolParams, recorder: Recorder):
         super().__init__(WRITER_ID, params, recorder)
-        self.ml: Timestamp = ml if ml is not None else params.initial_timestamp()
-        self.value = value
-        self.epochs = epochs if epochs is not None else EpochsQueue(params.queue_capacity)
+        self.ml: Timestamp = params.initial_timestamp()
+        self.value = INITIAL_VALUE
+        self.epochs = EpochsQueue(params.queue_capacity)
         self.epoch_changes = 0
         self.pending_value: Optional[str] = None
 
     def start_write(self, value: str, op_id: str) -> None:
-        assert self.idle, "single writer: one write at a time"
-        self.op_id = op_id
         self.pending_value = value
-        self.recorder(self.pid, "write_invoke", op_id, value)
-        self._begin_phase(QR_REQ, self_response=self.snapshot())
+        self._invoke("write_invoke", op_id, value)
 
     def snapshot(self):
         # the writer keeps no canceling evidence: its cl slot is always bottom
@@ -250,35 +264,27 @@ class BoundedWriter(QuorumProcessor):
         if self.ml.epoch != old_epoch:
             self.epoch_changes += 1
         self.value = self.pending_value
-        self._begin_phase(QW_REQ, payload=(self.ml, self.value))
-        self.apply_quorum_write(self.phase.payload)  # own member rule: no-op
-        self.phase.responses[self.pid] = True
+        self._begin_write_phase((self.ml, self.value))  # own member rule: no-op
 
     def on_quorum_write_done(self) -> None:
         self._finish_phase()
-        self.recorder(self.pid, "write_response", self.op_id, None)
-        self.op_id = None
         self.pending_value = None
+        self._respond("write_response")
 
 
 class BoundedReader(QuorumProcessor):
     """A reader/replica: serves quorum requests, records canceling evidence,
     and performs reads that help complete the maximal visible write."""
 
-    def __init__(self, pid: int, params: ProtocolParams, recorder: Recorder,
-                 ml: Optional[Timestamp] = None, cl: MaybeTimestamp = None,
-                 value: str = INITIAL_VALUE):
+    def __init__(self, pid: int, params: ProtocolParams, recorder: Recorder):
         super().__init__(pid, params, recorder)
-        self.ml: Timestamp = ml if ml is not None else params.initial_timestamp()
-        self.cl: MaybeTimestamp = cl
-        self.value = value
+        self.ml: Timestamp = params.initial_timestamp()
+        self.cl: MaybeTimestamp = None
+        self.value = INITIAL_VALUE
         self._writeback: Optional[tuple[Timestamp, str]] = None
 
     def start_read(self, op_id: str) -> None:
-        assert self.idle, "one read at a time per reader"
-        self.op_id = op_id
-        self.recorder(self.pid, "read_invoke", op_id, None)
-        self._begin_phase(QR_REQ, self_response=self.snapshot())
+        self._invoke("read_invoke", op_id)
 
     def snapshot(self):
         return (self.ml, self.cl, self.value)
@@ -304,13 +310,10 @@ class BoundedReader(QuorumProcessor):
                 chosen = (ml_m, v_m)
                 break
         if chosen is None:
-            self.recorder(self.pid, "read_response", self.op_id, "__abort__")
-            self.op_id = None
+            self._respond("read_response", ABORT)
             return
         self._writeback = chosen
-        self._begin_phase(QW_REQ, payload=chosen)
-        self.apply_quorum_write(self.phase.payload)
-        self.phase.responses[self.pid] = True
+        self._begin_write_phase(chosen)
 
     def on_quorum_write_done(self) -> None:
         self._finish_phase()
@@ -323,8 +326,7 @@ class BoundedReader(QuorumProcessor):
             self.cl = None
             self.value = value
         self._writeback = None
-        self.recorder(self.pid, "read_response", self.op_id, value)
-        self.op_id = None
+        self._respond("read_response", value)
 
 
 # ---------------------------------------------------------------------------
@@ -335,12 +337,10 @@ class BoundedReader(QuorumProcessor):
 class OracleProcessor(QuorumProcessor):
     """Replica of the integer-sequence-number reference protocol."""
 
-    def __init__(self, pid: int, params: ProtocolParams, recorder: Recorder,
-                 max_seq: int = 0, value: str = INITIAL_VALUE):
+    def __init__(self, pid: int, params: ProtocolParams, recorder: Recorder):
         super().__init__(pid, params, recorder)
-        self.max_seq = max_seq
-        self.value = value
-        self.observed_larger = False  # set on writer phase-1 completion
+        self.max_seq = 0
+        self.value = INITIAL_VALUE
         self._writeback = None
 
     def snapshot(self):
@@ -352,65 +352,43 @@ class OracleProcessor(QuorumProcessor):
             self.max_seq = seq
             self.value = value
 
-    def held_seqs(self) -> list[int]:
-        seqs = [self.max_seq]
-        if self.phase is not None and self.phase.kind == QR_REQ:
-            seqs.extend(s for s, _v in self.phase.responses.values())
-        if self.phase is not None and self.phase.kind == QW_REQ:
-            seqs.append(self.phase.payload[0])
-        return seqs
-
 
 class OracleWriter(OracleProcessor):
-    def __init__(self, params, recorder, max_seq=0, value=INITIAL_VALUE):
-        super().__init__(WRITER_ID, params, recorder, max_seq, value)
+    def __init__(self, params: ProtocolParams, recorder: Recorder):
+        super().__init__(WRITER_ID, params, recorder)
         self.pending_value: Optional[str] = None
 
     def start_write(self, value: str, op_id: str) -> None:
-        assert self.idle
-        self.op_id = op_id
         self.pending_value = value
-        self.recorder(self.pid, "write_invoke", op_id, value)
-        self._begin_phase(QR_REQ, self_response=self.snapshot())
+        self._invoke("write_invoke", op_id, value)
 
     def on_quorum_read_done(self) -> None:
         observed = [s for s, _v in self.phase.responses.values()]
         self._finish_phase()
-        self.observed_larger = max(observed) > self.max_seq
         self.max_seq = max(observed + [self.max_seq]) + 1
         self.value = self.pending_value
-        self._begin_phase(QW_REQ, payload=(self.max_seq, self.value))
-        self.phase.responses[self.pid] = True
+        self._begin_write_phase((self.max_seq, self.value))  # local apply: no-op
 
     def on_quorum_write_done(self) -> None:
         self._finish_phase()
-        self.recorder(self.pid, "write_response", self.op_id, None)
-        self.op_id = None
         self.pending_value = None
+        self._respond("write_response")
 
 
 class OracleReader(OracleProcessor):
     def start_read(self, op_id: str) -> None:
-        assert self.idle
-        self.op_id = op_id
-        self.recorder(self.pid, "read_invoke", op_id, None)
-        self._begin_phase(QR_REQ, self_response=self.snapshot())
+        self._invoke("read_invoke", op_id)
 
     def on_quorum_read_done(self) -> None:
         candidates = [self.phase.responses[pid] for pid in sorted(self.phase.responses)]
         self._finish_phase()
         best = max(candidates, key=lambda sv: sv[0])
         self._writeback = best
-        self._begin_phase(QW_REQ, payload=best)
-        self.apply_quorum_write(best)
-        self.phase.responses[self.pid] = True
+        self._begin_write_phase(best)
 
     def on_quorum_write_done(self) -> None:
         self._finish_phase()
-        seq, value = self._writeback
-        if seq > self.max_seq:
-            self.max_seq = seq
-            self.value = value
+        _seq, value = self._writeback
+        self.apply_quorum_write(self._writeback)
         self._writeback = None
-        self.recorder(self.pid, "read_response", self.op_id, value)
-        self.op_id = None
+        self._respond("read_response", value)

@@ -10,30 +10,19 @@ minority).  Runs are byte-identical for identical (scenario, seed).
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import random
 from dataclasses import dataclass, field, asdict
-from typing import Optional
 
-from .labels import incomparable_family, random_label
-from .protocol import (
-    INITIAL_VALUE,
-    QR_RESP,
-    QW_REQ,
-    BoundedReader,
-    BoundedWriter,
-    Message,
-    OracleReader,
-    OracleWriter,
-    ProtocolParams,
-    WRITER_ID,
-)
-from .timestamps import EpochsQueue, Timestamp
+from . import adversary
+from .protocol import (ABORT, QR_REQ, QR_RESP, QW_REQ, WRITER_ID, BoundedReader,
+                       BoundedWriter, Message, OracleReader, OracleWriter, ProtocolParams)
 
-CORRUPTION_MODES = ("none", "random", "near-wrap", "hidden-epoch")
-PROTOCOLS = ("bounded", "oracle")
-
-ABORT = "__abort__"
+CORRUPTION_MODES = tuple(adversary.MODES)
+# protocol name -> (writer class, reader class)
+PROTOCOLS = {"bounded": (BoundedWriter, BoundedReader),
+             "oracle": (OracleWriter, OracleReader)}
 
 
 class ScenarioError(ValueError):
@@ -50,7 +39,7 @@ class ScenarioConfig:
     r: int = 64
     k_override: int = 0
     loss_prob: float = 0.0
-    corruption: str = "none"
+    corruption: str = adversary.NONE
     protocol: str = "bounded"
     crashes: list[tuple[int, int]] = field(default_factory=list)  # (step, pid)
     read_retry_cap: int = 64
@@ -83,17 +72,19 @@ class ScenarioConfig:
         return ProtocolParams(self.n, self.c, self.r, self.k_override or None)
 
 
-REQUIRED_KEYS = ("n", "seed", "steps", "writes")
-
-_KEY_TYPES = {
-    "n": int, "seed": int, "steps": int, "writes": int, "c": int, "r": int,
-    "k_override": int, "loss_prob": float, "corruption": str, "protocol": str,
-    "crashes": str, "read_retry_cap": int, "read_backoff": int,
-}
+_FIELDS = dataclasses.fields(ScenarioConfig)
+REQUIRED_KEYS = tuple(
+    f.name for f in _FIELDS
+    if f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING
+)
+# the annotations are strings under postponed evaluation; crashes has its
+# own parser
+_KEY_TYPES = {f.name: {"int": int, "float": float, "str": str}.get(f.type)
+              for f in _FIELDS}
 
 
 def parse_scenario(text: str) -> ScenarioConfig:
-    """Parse the flat ``key = value`` scenario format."""
+    """Parse the flat ``key = value`` format, one key per ScenarioConfig field."""
     raw: dict[str, str] = {}
     for lineno, line in enumerate(text.splitlines(), 1):
         line = line.split("#", 1)[0].strip()
@@ -178,7 +169,7 @@ class Simulation:
         self._schedule: list[int] = []
 
         self.procs = self._build_processors()
-        self._corrupt_links()
+        adversary.corrupt(self)
         if audit:
             for box in self.links.values():
                 self._audit_sent.update((id(m), m) for m in box)
@@ -192,11 +183,7 @@ class Simulation:
         self.reads_done = 0
         self.message_sends = 0
         self.dropped_messages = 0
-
-        # oracle potential-function tracking
-        self.g_violations: list[int] = []
-        self.g_strict_violations: list[int] = []
-        self._g_prev: Optional[int] = None
+        self.potential = Potential(self) if config.protocol == "oracle" else None
 
     # -- construction --------------------------------------------------
 
@@ -224,99 +211,11 @@ class Simulation:
         self.events.append(event)
 
     def _build_processors(self):
-        cfg, params, rng = self.config, self.params, self.rng
-        rec = self._record
-        if cfg.protocol == "oracle":
-            procs = [OracleWriter(params, rec)]
-            procs += [OracleReader(pid, params, rec) for pid in range(1, cfg.n)]
-            if cfg.corruption != "none":
-                for proc in procs:
-                    proc.max_seq = rng.randint(0, 10 * cfg.writes + 10)
-                    proc.value = f"corrupt#{proc.pid}"
-            return procs
-
-        lp = params.label_params
-        initial = params.initial_timestamp()
-        if cfg.corruption == "none":
-            ml = {pid: initial for pid in range(cfg.n)}
-            cl = {pid: None for pid in range(cfg.n)}
-        elif cfg.corruption == "near-wrap":
-            ml = {pid: Timestamp(initial.epoch, cfg.r) for pid in range(cfg.n)}
-            cl = {pid: None for pid in range(cfg.n)}
-        elif cfg.corruption == "hidden-epoch":
-            ml = {pid: initial for pid in range(cfg.n)}
-            cl = {pid: None for pid in range(cfg.n)}
-        else:  # random
-            ml = {
-                pid: Timestamp(random_label(rng, lp), rng.randint(0, cfg.r))
-                for pid in range(cfg.n)
-            }
-            cl = {
-                pid: (
-                    None
-                    if rng.random() < 0.4
-                    else Timestamp(random_label(rng, lp), rng.randint(0, cfg.r))
-                )
-                for pid in range(cfg.n)
-            }
-        values = {
-            pid: INITIAL_VALUE if cfg.corruption in ("none", "hidden-epoch")
-            else f"corrupt#{pid}"
-            for pid in range(cfg.n)
-        }
-
-        epochs = EpochsQueue(params.queue_capacity)
-        if cfg.corruption == "random":
-            for _ in range(rng.randint(0, 4)):
-                epochs.enqueue(random_label(rng, lp))
-        writer = BoundedWriter(params, rec, ml=ml[WRITER_ID],
-                               value=values[WRITER_ID], epochs=epochs)
-        procs = [writer]
-        procs += [
-            BoundedReader(pid, params, rec, ml=ml[pid], cl=cl[pid], value=values[pid])
-            for pid in range(1, cfg.n)
-        ]
-        return procs
-
-    def _corrupt_links(self):
-        cfg, rng = self.config, self.rng
-        if cfg.protocol == "oracle" or cfg.corruption in ("none", "near-wrap"):
-            return
-        lp = self.params.label_params
-        if cfg.corruption == "hidden-epoch":
-            total_slots = len(self.links) * cfg.c
-            # stings drawn from 1..k sit inside the writer's initial antisting
-            # set, keeping the crafted labels incomparable to its epoch too
-            family = incomparable_family(
-                min(total_slots, lp.k), lp, rng, sting_pool=range(1, lp.k + 1)
-            )
-            idx = 0
-            for (i, j), box in sorted(self.links.items()):
-                for _ in range(cfg.c):
-                    label = family[idx % len(family)]
-                    idx += 1
-                    ts = Timestamp(label, rng.randint(0, cfg.r))
-                    box.append(
-                        Message(QW_REQ, (i, 0), i, j, (ts, f"forged#{idx}"))
-                    )
-            return
-        # random corruption: forged quorum traffic up to capacity
-        for (i, j), box in sorted(self.links.items()):
-            for slot in range(cfg.c):
-                if rng.random() < 0.3:
-                    continue
-                ts = Timestamp(random_label(rng, lp), rng.randint(0, cfg.r))
-                if rng.random() < 0.75:
-                    box.append(
-                        Message(QW_REQ, (i, 0), i, j, (ts, f"forged#{i}.{j}.{slot}"))
-                    )
-                else:
-                    cl = None if rng.random() < 0.5 else Timestamp(
-                        random_label(rng, lp), rng.randint(0, cfg.r)
-                    )
-                    box.append(
-                        Message(QR_RESP, (i, 0), i, j, (ts, cl, f"forged#{i}.{j}.{slot}"))
-                    )
+        """The clean start: every processor at its initial state."""
+        writer, reader = PROTOCOLS[self.config.protocol]
+        params, rec = self.params, self._record
+        return [writer(params, rec)] + [
+            reader(pid, params, rec) for pid in range(1, self.config.n)]
 
     # -- scheduling ----------------------------------------------------
 
@@ -397,48 +296,17 @@ class Simulation:
         if box:  # else a null message
             outbox.extend(proc.on_message(box.pop(rng.randrange(len(box)))))
 
-    # -- oracle potential function -------------------------------------
-
-    def _oracle_g(self) -> int:
-        writer_seq = self.procs[WRITER_ID].max_seq
-        seqs: set[int] = set()
-        for proc in self.procs:
-            seqs.update(proc.held_seqs())
-        for box in self.links.values():
-            for msg in box:
-                if msg.kind in (QW_REQ, QR_RESP):
-                    seqs.add(msg.payload[0])
-        for box in self.outboxes:
-            for msg in box:
-                if msg.kind in (QW_REQ, QR_RESP):
-                    seqs.add(msg.payload[0])
-        return sum(1 for s in seqs if s > writer_seq)
-
-    def _check_oracle_g(self):
-        g = self._oracle_g()
-        writer = self.procs[WRITER_ID]
-        if self._g_prev is not None and g > self._g_prev:
-            self.g_violations.append(self.step_count)
-        if writer.observed_larger:
-            if self._g_prev is None or g >= self._g_prev:
-                self.g_strict_violations.append(self.step_count)
-            writer.observed_larger = False
-        self._g_prev = g
-
     # -- run loop ------------------------------------------------------
 
     def run(self) -> dict:
-        cfg = self.config
-        oracle = cfg.protocol == "oracle"
-        if oracle:
-            self._g_prev = self._oracle_g()
-        step, audit = self.step, self.audit
+        cfg, step = self.config, self.step
+        checks = [self.potential.check] if self.potential is not None else []
+        if self.audit:
+            checks.append(self._check_audit)
         while self.step_count < cfg.steps:
             step()
-            if oracle:
-                self._check_oracle_g()
-            if audit:
-                self._check_audit()
+            for check in checks:
+                check()
             if self.writes_done >= cfg.writes and all(
                 p.idle for i, p in enumerate(self.procs) if i not in self.crashed
             ):
@@ -462,7 +330,7 @@ class Simulation:
             for _kind, reqs, resps in proc.phase_log:
                 phase_reqs.append(reqs)
                 phase_resps.append(resps)
-        writer = self.procs[WRITER_ID]
+        writer, potential = self.procs[WRITER_ID], self.potential
         return {
             "steps": self.step_count,
             "writes_completed": self.writes_done,
@@ -474,10 +342,67 @@ class Simulation:
             "max_phase_requests": max(phase_reqs, default=0),
             "max_phase_responses": max(phase_resps, default=0),
             "completed_phases": len(phase_reqs),
-            "g_violations": self.g_violations,
-            "g_strict_violations": self.g_strict_violations,
+            "g_violations": potential.violations if potential else [],
+            "g_strict_violations": potential.strict_violations if potential else [],
             "crashed": sorted(self.crashed),
         }
+
+
+class Potential:
+    """The oracle protocol's potential g, checked after every step.
+
+    g counts the distinct sequence numbers above the writer's ``max_seq``
+    held anywhere: by a processor, in a phase's responses or payload, or in
+    a message in a link or an outbox.  g must never rise, and it must fall
+    in a step where a write's read phase sees a number above the writer's
+    own.  ``violations`` and ``strict_violations`` list the steps that
+    break either rule; ``observations`` counts the steps of the second kind.
+    """
+
+    def __init__(self, sim: Simulation):
+        self.sim = sim
+        self.writer = sim.procs[WRITER_ID]
+        self.violations: list[int] = []
+        self.strict_violations: list[int] = []
+        self.observations = 0
+        self._phases = len(self.writer.phase_log)
+        self._seq = self.writer.max_seq
+        self._g = self.measure()
+
+    def measure(self) -> int:
+        sim = self.sim
+        seqs: set[int] = set()
+        for proc in sim.procs:
+            seqs.add(proc.max_seq)
+            ph = proc.phase
+            if ph is None:
+                continue
+            if ph.kind == QR_REQ:
+                seqs.update(seq for seq, _v in ph.responses.values())
+            else:
+                seqs.add(ph.payload[0])
+        for boxes in (sim.links.values(), sim.outboxes):
+            for box in boxes:
+                for msg in box:
+                    if msg.kind == QW_REQ or msg.kind == QR_RESP:
+                        seqs.add(msg.payload[0])
+        top = self.writer.max_seq
+        return sum(1 for seq in seqs if seq > top)
+
+    def check(self) -> None:
+        g = self.measure()
+        writer, step = self.writer, self.sim.step_count
+        if g > self._g:
+            self.violations.append(step)
+        if len(writer.phase_log) > self._phases:
+            self._phases = len(writer.phase_log)
+            # a read phase that saw max m moves the writer to max(m, own) + 1
+            if writer.phase_log[-1][0] == QR_REQ and writer.max_seq > self._seq + 1:
+                self.observations += 1
+                if g >= self._g:
+                    self.strict_violations.append(step)
+        self._seq = writer.max_seq
+        self._g = g
 
 
 def run_scenario(config: ScenarioConfig, audit: bool = False):

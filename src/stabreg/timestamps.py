@@ -49,15 +49,12 @@ class EpochsQueue:
     queue; at capacity the oldest label is evicted.
     """
 
-    def __init__(self, capacity: int, entries: Optional[list[Label]] = None):
+    def __init__(self, capacity: int):
         if capacity < 1:
             raise ValueError("queue capacity must be positive")
         self.capacity = capacity
         # Insertion-ordered dict used as a set: last key = newest.
         self._entries: dict[Label, None] = {}
-        if entries:
-            for label in reversed(entries):
-                self.enqueue(label)
 
     def enqueue(self, label: Label) -> None:
         entries = self._entries
@@ -75,11 +72,6 @@ class EpochsQueue:
 
     def __contains__(self, label: Label) -> bool:
         return label in self._entries
-
-    def copy(self) -> "EpochsQueue":
-        fresh = EpochsQueue(self.capacity)
-        fresh._entries = dict(self._entries)
-        return fresh
 
 
 def next_timestamp(

@@ -46,6 +46,14 @@ def test_run_env_overrides(config_file, tmp_path, monkeypatch):
     assert (tmp_path / "sub" / "trace-55.jsonl").exists()
 
 
+def test_run_rejects_non_integer_seed_env(config_file, tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("STABREG_SEED", "abc")
+    rc = main(["run", "--config", str(config_file), "--out", str(tmp_path)])
+    assert rc == 2
+    assert "error: STABREG_SEED" in capsys.readouterr().err
+    assert not list(tmp_path.glob("trace-*"))
+
+
 def test_run_missing_config(tmp_path, capsys):
     rc = main(["run", "--config", str(tmp_path / "nope.cfg")])
     assert rc == 2
@@ -165,6 +173,11 @@ def test_game_rejects_unknown_strategy(capsys):
     assert main(["game", "--m", "2", "--strategy", "psychic"]) == 2
 
 
+def test_game_rejects_empty_queue(capsys):
+    assert main(["game", "--m", "2", "--queue-capacity", "0"]) == 2
+    assert "error: queue capacity" in capsys.readouterr().err
+
+
 def test_labels_compare(capsys):
     rc = main(["labels", "--k", "2", "compare", "(2|4,5)", "(1|2,3)"])
     assert rc == 0
@@ -180,3 +193,8 @@ def test_labels_next(capsys):
 
 def test_labels_bad_literal(capsys):
     assert main(["labels", "--k", "2", "next", "wat"]) == 2
+
+
+def test_labels_rejects_k_below_two(capsys):
+    assert main(["labels", "--k", "1", "next", "(1|1)"]) == 2
+    assert "error: k must be >= 2" in capsys.readouterr().err

@@ -3,8 +3,10 @@ import json
 import pytest
 
 from stabreg.checker import find_stabilization, parse_trace
-from stabreg.protocol import Message
+from stabreg.protocol import INITIAL_VALUE, Message
+from stabreg.timestamps import Timestamp
 from stabreg.sim import (
+    Potential,
     ScenarioConfig,
     ScenarioError,
     Simulation,
@@ -69,6 +71,22 @@ def test_parse_scenario_rejects(text, fragment):
     with pytest.raises(ScenarioError) as excinfo:
         parse_scenario(text)
     assert fragment in str(excinfo.value)
+
+
+def test_scenario_text_roundtrips_every_field():
+    config = ScenarioConfig(
+        n=7, seed=3, steps=1234, writes=9, c=2, r=5, k_override=40,
+        loss_prob=0.25, corruption="hidden-epoch", protocol="oracle",
+        crashes=[(10, 1), (20, 2)], read_retry_cap=7, read_backoff=3,
+    )
+    defaults = ScenarioConfig(n=5, seed=0, steps=1, writes=0)
+    d = scenario_to_dict(config)
+    assert all(value != getattr(defaults, key) for key, value in vars(config).items())
+    text = "\n".join(
+        f"{key} = {', '.join(value) if key == 'crashes' else value}"
+        for key, value in d.items()
+    )
+    assert parse_scenario(text) == config
 
 
 def test_scenario_dict_roundtrips_crashes():
@@ -177,6 +195,30 @@ def test_corrupted_runs_recover(mode):
     assert verdict.atomic_from is not None
 
 
+def test_corruption_modes_overwrite_the_clean_start():
+    # the traces do not show labels, so a lost epoch or evidence plant
+    # can leave the golden hashes unchanged: check the start state itself
+    starts = {mode: [Simulation(small_config(corruption=mode, c=2, r=8, seed=seed))
+                     for seed in range(4)]
+              for mode in ("none", "random", "near-wrap", "hidden-epoch")}
+    clean = starts["none"][0]
+    initial = clean.params.initial_timestamp()
+    assert all(p.ml == initial and p.value == INITIAL_VALUE for p in clean.procs)
+    assert not any(clean.links.values())
+    for sim in starts["random"]:
+        assert [p.value for p in sim.procs] == [f"corrupt#{i}" for i in range(5)]
+        assert all(p.ml != initial for p in sim.procs)
+    assert any(len(sim.procs[0].epochs) for sim in starts["random"])
+    assert any(p.cl is not None for sim in starts["random"] for p in sim.procs[1:])
+    assert any(any(sim.links.values()) for sim in starts["random"])
+    for sim in starts["near-wrap"]:
+        assert all(p.ml == Timestamp(initial.epoch, 8) for p in sim.procs)
+    for sim in starts["hidden-epoch"]:
+        assert all(len(box) == 2 for box in sim.links.values())
+    oracle = Simulation(small_config(protocol="oracle", corruption="random"))
+    assert any(p.max_seq for p in oracle.procs)
+
+
 def test_oracle_clean_run():
     config = small_config(protocol="oracle", writes=15)
     lines, metrics = run_scenario(config)
@@ -192,6 +234,20 @@ def test_oracle_corrupted_run_potential_still_monotone():
     assert metrics["g_violations"] == []
     assert metrics["g_strict_violations"] == []
     assert metrics["writes_completed"] == 15
+
+
+def test_potential_catches_a_flat_potential(monkeypatch):
+    # in this corrupted cell of acceptance criterion 7 the writer's read
+    # phase sees a larger number once; with g pinned, that step must be
+    # reported as a strict violation
+    config = ScenarioConfig(n=5, seed=5, steps=400_000, writes=50,
+                            protocol="oracle", corruption="random")
+    monkeypatch.setattr(Potential, "measure", lambda self: 0)
+    sim = Simulation(config)
+    metrics = sim.run()
+    assert sim.potential.observations > 0
+    assert metrics["g_strict_violations"]
+    assert metrics["g_violations"] == []
 
 
 def test_phase_message_bound():

@@ -75,16 +75,6 @@ def test_queue_eviction_at_capacity():
     assert q.entries == [labels[3], labels[2], labels[1]]
 
 
-def test_queue_copy_is_independent():
-    a, b = make_label(1, {1, 2}), make_label(2, {2, 3})
-    q = EpochsQueue(2)
-    q.enqueue(a)
-    clone = q.copy()
-    clone.enqueue(b)
-    assert a in q and b not in q
-    assert clone.entries == [b, a]
-
-
 def test_queue_rejects_bad_capacity():
     with pytest.raises(ValueError):
         EpochsQueue(0)
