@@ -3,7 +3,8 @@
 ``corrupt(sim)`` overwrites the clean processors and the empty links that
 ``Simulation.__init__`` has just built, as the scenario's mode in ``MODES``
 says, drawing only from ``sim.rng``: a run stays a function of (scenario,
-seed).  Under every mode but ``none`` the oracle protocol's processors start
+seed).  The oracle protocol has plain sequence numbers and no labels, so it
+has only the modes in ``ORACLE_MODES``: ``random`` starts its processors
 from random sequence numbers.  The label generators are called through the
 ``labels`` module, so that a tool rebinding them there sees these calls.
 """
@@ -89,10 +90,10 @@ MODES = {
 }
 
 
+ORACLE_MODES = {NONE: MODES[NONE], "random": _random_seqs}
+
+
 def corrupt(sim) -> None:
     """Overwrite the clean start of ``sim`` as its scenario's mode says."""
-    mode = sim.config.corruption
-    if sim.config.protocol == "oracle" and mode != NONE:
-        _random_seqs(sim)
-    else:
-        MODES[mode](sim)
+    modes = ORACLE_MODES if sim.config.protocol == "oracle" else MODES
+    modes[sim.config.corruption](sim)

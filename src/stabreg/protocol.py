@@ -281,7 +281,6 @@ class BoundedReader(QuorumProcessor):
         self.ml: Timestamp = params.initial_timestamp()
         self.cl: MaybeTimestamp = None
         self.value = INITIAL_VALUE
-        self._writeback: Optional[tuple[Timestamp, str]] = None
 
     def start_read(self, op_id: str) -> None:
         self._invoke("read_invoke", op_id)
@@ -312,12 +311,11 @@ class BoundedReader(QuorumProcessor):
         if chosen is None:
             self._respond("read_response", ABORT)
             return
-        self._writeback = chosen
         self._begin_write_phase(chosen)
 
     def on_quorum_write_done(self) -> None:
+        ts, value = self.phase.payload
         self._finish_phase()
-        ts, value = self._writeback
         # adopt the write-back unless a newer timestamp arrived meanwhile;
         # unconditional assignment would downgrade the replica and break
         # quorum intersection for later reads
@@ -325,7 +323,6 @@ class BoundedReader(QuorumProcessor):
             self.ml = ts
             self.cl = None
             self.value = value
-        self._writeback = None
         self._respond("read_response", value)
 
 
@@ -341,7 +338,6 @@ class OracleProcessor(QuorumProcessor):
         super().__init__(pid, params, recorder)
         self.max_seq = 0
         self.value = INITIAL_VALUE
-        self._writeback = None
 
     def snapshot(self):
         return (self.max_seq, self.value)
@@ -382,13 +378,10 @@ class OracleReader(OracleProcessor):
     def on_quorum_read_done(self) -> None:
         candidates = [self.phase.responses[pid] for pid in sorted(self.phase.responses)]
         self._finish_phase()
-        best = max(candidates, key=lambda sv: sv[0])
-        self._writeback = best
-        self._begin_write_phase(best)
+        self._begin_write_phase(max(candidates, key=lambda sv: sv[0]))
 
     def on_quorum_write_done(self) -> None:
+        writeback = self.phase.payload
         self._finish_phase()
-        _seq, value = self._writeback
-        self.apply_quorum_write(self._writeback)
-        self._writeback = None
-        self._respond("read_response", value)
+        self.apply_quorum_write(writeback)
+        self._respond("read_response", writeback[1])

@@ -60,6 +60,11 @@ class ScenarioConfig:
             raise ScenarioError(f"unknown corruption mode {self.corruption!r}")
         if self.protocol not in PROTOCOLS:
             raise ScenarioError(f"unknown protocol {self.protocol!r}")
+        if self.protocol == "oracle" and self.corruption not in adversary.ORACLE_MODES:
+            raise ScenarioError(
+                f"corruption {self.corruption!r} has no oracle meaning, "
+                f"want one of {', '.join(adversary.ORACLE_MODES)}"
+            )
         if len({pid for _s, pid in self.crashes}) >= (self.n + 1) // 2:
             raise ScenarioError(
                 "crash schedule must keep a majority of processors alive"
@@ -134,6 +139,21 @@ def scenario_to_dict(config: ScenarioConfig) -> dict:
 
 
 # ---------------------------------------------------------------------------
+
+
+def _below(getrandbits, n: int) -> int:
+    """A uniform int in [0, n), n > 0, drawn as ``random.Random`` draws it.
+
+    This is CPython's ``Random._randbelow_with_getrandbits``, behind
+    ``choice``, ``randrange`` and ``shuffle``: the scheduler draws only
+    through this and ``random()``, so a run depends on the Mersenne Twister
+    output alone and not on ``random``'s pure-Python wrappers.
+    """
+    k = n.bit_length()  # not (n - 1): n can be 1, and that still draws
+    r = getrandbits(k)
+    while r >= n:
+        r = getrandbits(k)
+    return r
 
 
 class Simulation:
@@ -242,75 +262,84 @@ class Simulation:
             self._read_counters[pid] += 1
             proc.start_read(f"p{pid}r{self._read_counters[pid]}")
 
-    # -- the step relation ---------------------------------------------
-
-    def step(self) -> None:
-        """One scheduler step: the next processor sends or receives once."""
-        self.step_count += 1
-        pending = self._pending_crashes
-        if pending and pending[-1][0] <= self.step_count:
-            self._apply_crashes()
-        rng = self.rng
-        schedule = self._schedule
-        if not schedule:
-            # Round-based fairness floor: every non-crashed processor appears
-            # once per shuffled round, so any window of 2 * n steps covers all.
-            crashed = self.crashed
-            schedule.extend([p for p in range(self.config.n) if p not in crashed])
-            rng.shuffle(schedule)
-        pid = schedule.pop()
-        if self.audit:
-            self.pid_history.append(pid)
-        proc = self.procs[pid]
-        if proc.phase is None:
-            self._poll_client(pid, proc)
-
-        outbox = self.outboxes[pid]
-        if outbox or proc.phase is not None:
-            toggle = self._send_toggle
-            toggle[pid] = send = not toggle[pid]
-            msg = (outbox.pop(0) if outbox else proc.next_send()) if send else None
-            if msg is not None:
-                self.message_sends += 1
-                if self.audit:
-                    self._audit_sent[id(msg)] = msg
-                if rng.random() < self.config.loss_prob:
-                    self.dropped_messages += 1
-                    return
-                sender, dest = msg.sender, msg.dest
-                box = self._inbound[dest][sender - (sender > dest)]
-                box.append(msg)
-                if len(box) > self.config.c:
-                    # full link: evict a random message from the union
-                    box.pop(rng.randrange(len(box)))
-                    self.dropped_messages += 1
-                return
-
-        # mostly drain nonempty links, but keep null receives possible
-        inbound = self._inbound[pid]
-        nonempty = [box for box in inbound if box]
-        if nonempty and rng.random() < 0.9:
-            box = rng.choice(nonempty)
-        else:
-            box = rng.choice(inbound)
-        if box:  # else a null message
-            outbox.extend(proc.on_message(box.pop(rng.randrange(len(box)))))
-
-    # -- run loop ------------------------------------------------------
+    # -- the scheduler loop --------------------------------------------
 
     def run(self) -> dict:
-        cfg, step = self.config, self.step
+        """Step until every write is done and every live processor is idle,
+        or until the step budget runs out.
+
+        Each step lets the next processor of the shuffled round send or
+        receive once.
+        """
+        cfg = self.config
+        n, c, loss_prob, writes, steps = cfg.n, cfg.c, cfg.loss_prob, cfg.writes, cfg.steps
+        random_, getrandbits = self.rng.random, self.rng.getrandbits
+        procs, outboxes, inbound = self.procs, self.outboxes, self._inbound
+        toggle, schedule = self._send_toggle, self._schedule
+        pending, crashed, audit = self._pending_crashes, self.crashed, self.audit
+        sends, drops = self.message_sends, self.dropped_messages
+        step_count = self.step_count
         checks = [self.potential.check] if self.potential is not None else []
-        if self.audit:
+        if audit:
             checks.append(self._check_audit)
-        while self.step_count < cfg.steps:
-            step()
+        while step_count < steps:
+            step_count += 1
+            self.step_count = step_count
+            if pending and pending[-1][0] <= step_count:
+                self._apply_crashes()
+            if not schedule:
+                # Round-based fairness floor: every non-crashed processor
+                # appears once per shuffled round, so any window of 2 * n
+                # steps covers all.  Fisher-Yates, as random.shuffle draws.
+                schedule.extend([p for p in range(n) if p not in crashed])
+                for i in range(len(schedule) - 1, 0, -1):
+                    j = _below(getrandbits, i + 1)
+                    schedule[i], schedule[j] = schedule[j], schedule[i]
+            pid = schedule.pop()
+            if audit:
+                self.pid_history.append(pid)
+            proc = procs[pid]
+            if proc.phase is None:
+                self._poll_client(pid, proc)
+
+            outbox = outboxes[pid]
+            msg = None
+            if outbox or proc.phase is not None:
+                toggle[pid] = send = not toggle[pid]
+                if send:
+                    msg = outbox.pop(0) if outbox else proc.next_send()
+            if msg is not None:
+                sends += 1
+                if audit:
+                    self._audit_sent[id(msg)] = msg
+                if random_() < loss_prob:
+                    drops += 1
+                else:
+                    sender, dest = msg.sender, msg.dest
+                    box = inbound[dest][sender - (sender > dest)]
+                    box.append(msg)
+                    if len(box) > c:
+                        # full link: evict a random message from the union
+                        box.pop(_below(getrandbits, len(box)))
+                        drops += 1
+            else:
+                # mostly drain nonempty links, but keep null receives possible
+                boxes = inbound[pid]
+                nonempty = [box for box in boxes if box]
+                if nonempty and random_() < 0.9:
+                    box = nonempty[_below(getrandbits, len(nonempty))]
+                else:
+                    box = boxes[_below(getrandbits, len(boxes))]
+                if box:  # else a null message
+                    outbox.extend(proc.on_message(box.pop(_below(getrandbits, len(box)))))
+
             for check in checks:
                 check()
-            if self.writes_done >= cfg.writes and all(
-                p.idle for i, p in enumerate(self.procs) if i not in self.crashed
+            if self.writes_done >= writes and all(
+                p.idle for i, p in enumerate(procs) if i not in crashed
             ):
                 break
+        self.message_sends, self.dropped_messages = sends, drops
         return self.metrics()
 
     def _check_audit(self):
@@ -413,7 +442,9 @@ def run_scenario(config: ScenarioConfig, audit: bool = False):
     """
     sim = Simulation(config, audit=audit)
     metrics = sim.run()
-    header = {"type": "header", "config": scenario_to_dict(config)}
-    lines = [json.dumps(header, sort_keys=True)]
-    lines += [json.dumps(e, sort_keys=True) for e in sim.events]
+    # one encoder for every line: json.dumps with an option builds a new one
+    # per call
+    encode = json.JSONEncoder(sort_keys=True).encode
+    lines = [encode({"type": "header", "config": scenario_to_dict(config)})]
+    lines += [encode(e) for e in sim.events]
     return lines, metrics

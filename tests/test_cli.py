@@ -68,6 +68,16 @@ def test_run_invalid_config(tmp_path, capsys):
     assert "invalid scenario" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("mode", ["near-wrap", "hidden-epoch"])
+def test_run_rejects_label_corruption_under_oracle(tmp_path, capsys, mode):
+    bad = tmp_path / "oracle.cfg"
+    bad.write_text(CLEAN + f"protocol = oracle\ncorruption = {mode}\n")
+    rc = main(["run", "--config", str(bad), "--out", str(tmp_path)])
+    assert rc == 2
+    assert "no oracle meaning" in capsys.readouterr().err
+    assert not list(tmp_path.glob("trace-*"))
+
+
 def test_check_clean_trace(config_file, tmp_path, capsys):
     main(["run", "--config", str(config_file), "--out", str(tmp_path)])
     capsys.readouterr()

@@ -6,8 +6,10 @@ or a metric breaks a hash; refresh them only when that change is meant.
 
 The module runs without pytest too (``PYTHONPATH=src python
 tests/test_golden_traces.py``), so it can check interpreters that have no
-test dependencies installed: the run depends on ``random``'s pure-Python
-``choice``, ``randrange`` and ``shuffle``.
+test dependencies installed.  The scheduler draws only through
+``random()`` and ``getrandbits``, the latter via ``sim._below``; only a
+corrupted start still goes through ``random``'s pure-Python ``randint`` and
+``sample``.
 """
 
 import hashlib

@@ -176,7 +176,6 @@ def test_read_writeback_never_downgrades_replica():
     reader = procs[1]
     reader.start_read("r1")
     low = Timestamp(reader.ml.epoch, 0)
-    reader._writeback = (low, "stale")
     reader.phase = None
     reader.ml = Timestamp(reader.ml.epoch, 4)  # newer write arrived meanwhile
     reader.value = "newer"

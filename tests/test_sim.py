@@ -1,4 +1,5 @@
 import json
+import random
 
 import pytest
 
@@ -10,6 +11,7 @@ from stabreg.sim import (
     ScenarioConfig,
     ScenarioError,
     Simulation,
+    _below,
     parse_scenario,
     run_scenario,
     scenario_to_dict,
@@ -65,6 +67,8 @@ crashes = 2@100, 4@250
     (BASE + "crashes = 1@5, 2@5, 3@5\n", "majority"),
     (BASE + "corruption = alien\n", "corruption"),
     (BASE + "protocol = paxos\n", "protocol"),
+    (BASE + "protocol = oracle\ncorruption = near-wrap\n", "no oracle meaning"),
+    (BASE + "protocol = oracle\ncorruption = hidden-epoch\n", "no oracle meaning"),
     ("n oops\n", "key = value"),
 ])
 def test_parse_scenario_rejects(text, fragment):
@@ -76,7 +80,7 @@ def test_parse_scenario_rejects(text, fragment):
 def test_scenario_text_roundtrips_every_field():
     config = ScenarioConfig(
         n=7, seed=3, steps=1234, writes=9, c=2, r=5, k_override=40,
-        loss_prob=0.25, corruption="hidden-epoch", protocol="oracle",
+        loss_prob=0.25, corruption="random", protocol="oracle",
         crashes=[(10, 1), (20, 2)], read_retry_cap=7, read_backoff=3,
     )
     defaults = ScenarioConfig(n=5, seed=0, steps=1, writes=0)
@@ -145,9 +149,8 @@ def test_unsorted_crash_schedule_gives_the_same_trace():
 
 
 def test_audit_catches_a_message_planted_mid_run():
-    sim = Simulation(small_config(), audit=True)
-    for _ in range(300):
-        sim.step()
+    sim = Simulation(small_config(steps=300), audit=True)
+    sim.run()
     sim._check_audit()
     box = next(box for box in sim.links.values() if box)
     consumed = box.pop()
@@ -159,6 +162,30 @@ def test_audit_catches_a_message_planted_mid_run():
     box.append(Message(*fields))
     with pytest.raises(AssertionError, match="fabricated message"):
         sim._check_audit()
+
+
+def test_below_draws_as_randrange():
+    sizes = sorted(set(range(1, 71)) | {
+        2 ** j + d for j in range(1, 21) for d in (-1, 0, 1)})
+    for seed in range(200):
+        a, b = random.Random(seed), random.Random(seed)
+        for n in sizes:
+            assert _below(a.getrandbits, n) == b.randrange(n), (seed, n)
+            assert a.getstate() == b.getstate(), (seed, n)
+
+
+def test_fisher_yates_loop_draws_as_shuffle():
+    for seed in range(200):
+        a, b = random.Random(seed), random.Random(seed)
+        for length in range(10):
+            mine, theirs = list(range(length)), list(range(length))
+            # the refill loop of Simulation.run
+            for i in range(len(mine) - 1, 0, -1):
+                j = _below(a.getrandbits, i + 1)
+                mine[i], mine[j] = mine[j], mine[i]
+            b.shuffle(theirs)
+            assert mine == theirs, (seed, length)
+            assert a.getstate() == b.getstate(), (seed, length)
 
 
 def test_lossy_links_still_make_progress():
