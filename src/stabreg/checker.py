@@ -9,9 +9,11 @@ completed-operation order, which lets ``find_stabilization`` locate the
 earliest point from which the system behaves like an atomic register.
 
 ``parse_trace`` enforces what the checks rely on and raises ``TraceError``
-otherwise: invokes and responses alternate per processor, a single
-processor issues every write, no written value repeats and no ``op_id`` is
-used twice.  It also fixes the completion order and maps every read to the
+otherwise: each non-blank line is one JSON object, each event has integer
+``proc`` and ``step``, a string ``op_id`` and a string or null ``value``,
+invokes and responses alternate per processor, a single processor issues
+every write, no written value repeats and no ``op_id`` is used twice.  It
+also fixes the completion order and maps every read to the
 writer-order index of the value it returned, once per trace.
 
 A suffix's violations only shrink as its start moves right, so each
@@ -26,7 +28,12 @@ it.  For a read at completion index i:
 
 ``find_stabilization`` takes the largest cut in one sweep over the trace,
 O(N log N) for N operations: a ``bisect`` over write completions for
-regularity, and a Fenwick max-tree keyed by write index for inversions.
+regularity, and a staircase for inversions.  Reads enter the staircase in
+completion order, so a later entry always has the higher rank; an entry
+whose write index a later one matches or exceeds can never again be the
+latest newer read, and is dropped.  What is left falls in write index and
+rises in rank, and one ``bisect`` finds the latest read newer than any
+given one.
 """
 
 from __future__ import annotations
@@ -43,7 +50,7 @@ class TraceError(ValueError):
     """Structurally malformed trace."""
 
 
-@dataclass
+@dataclass(slots=True)
 class Operation:
     op_id: str
     proc: int
@@ -94,8 +101,23 @@ class Trace:
     writes: list[Operation]  # all writes, in writer order (index = widx)
 
 
+_decode = json.JSONDecoder().raw_decode
+
+# event kind -> (operation kind, whether the event is an invocation)
+_KINDS = {
+    "write_invoke": ("write", True),
+    "read_invoke": ("read", True),
+    "write_response": ("write", False),
+    "read_response": ("read", False),
+}
+
+
 def parse_trace(lines) -> Trace:
-    """Parse JSONL trace lines into a single-writer trace with reads mapped."""
+    """Parse JSONL trace lines into a single-writer trace with reads mapped.
+
+    ``lines`` is any iterable of strings, a text file included; each line is
+    decoded as it is reached and the error positions count blank lines.
+    """
     config: dict = {}
     ops: dict[str, Operation] = {}
     order: list[Operation] = []
@@ -108,9 +130,13 @@ def parse_trace(lines) -> Trace:
         if not line:
             continue
         try:
-            event = json.loads(line)
+            event, end = _decode(line)
         except json.JSONDecodeError:
-            raise TraceError(f"event {pos}: not valid JSON") from None
+            end = -1
+        if end != len(line):
+            raise TraceError(f"event {pos}: not valid JSON")
+        if type(event) is not dict:
+            raise TraceError(f"event {pos}: not a JSON object")
         if event.get("type") == "header":
             config = event.get("config", {})
             continue
@@ -121,7 +147,18 @@ def parse_trace(lines) -> Trace:
             op_id = event["op_id"]
         except KeyError as exc:
             raise TraceError(f"event {pos}: missing field {exc}") from None
-        if kind in ("write_invoke", "read_invoke"):
+        value = event.get("value")
+        if type(proc) is not int or type(step) is not int:
+            raise TraceError(f"event {pos}: proc and step must be integers")
+        if type(op_id) is not str:
+            raise TraceError(f"event {pos}: op_id must be a string")
+        if value is not None and type(value) is not str:
+            raise TraceError(f"event {pos}: value must be a string or null")
+        try:
+            op_kind, invoke = _KINDS[kind]
+        except (KeyError, TypeError):
+            raise TraceError(f"event {pos}: unknown event kind {kind!r}") from None
+        if invoke:
             if proc in pending:
                 raise TraceError(
                     f"event {pos}: processor {proc} invoked {op_id} while "
@@ -129,24 +166,23 @@ def parse_trace(lines) -> Trace:
                 )
             if op_id in ops:
                 raise TraceError(f"event {pos}: op_id {op_id} is used twice")
-            op = Operation(op_id, proc, kind.split("_")[0], pos, step,
-                           value=event.get("value"))
-            if op.kind == "write":
+            op = Operation(op_id, proc, op_kind, pos, step, value)
+            if op_kind == "write":
                 if writes and writes[0].proc != proc:
                     raise TraceError(
                         f"event {pos}: processor {proc} writes, but processor "
                         f"{writes[0].proc} is the writer"
                     )
-                if op.value in widx_of:
+                if value in widx_of:
                     raise TraceError(
-                        f"event {pos}: value {op.value!r} is written twice"
+                        f"event {pos}: value {value!r} is written twice"
                     )
-                op.widx = widx_of[op.value] = len(writes)
+                op.widx = widx_of[value] = len(writes)
                 writes.append(op)
             ops[op_id] = op
             order.append(op)
             pending[proc] = op
-        elif kind in ("write_response", "read_response"):
+        else:
             op = pending.pop(proc, None)
             if op is None or op.op_id != op_id:
                 raise TraceError(
@@ -156,11 +192,9 @@ def parse_trace(lines) -> Trace:
             op.response_step = step
             op.rank = len(completed)
             completed.append(op)
-            if kind == "read_response":
+            if op_kind == "read":
                 op.aborted = bool(event.get("abort"))
-                op.value = event.get("value")
-        else:
-            raise TraceError(f"event {pos}: unknown event kind {kind!r}")
+                op.value = value
     for op in _checkable_reads(completed):
         op.widx = widx_of.get(op.value, -1)
     return Trace(config, order, completed, writes)
@@ -196,51 +230,34 @@ def _regularity(trace: Trace, suffix_start: int) -> Iterator[tuple[Violation, in
             ), read.rank + 1
 
 
-class _MaxTree:
-    """Fenwick tree of running maxima keyed by write index, -1 included."""
-
-    def __init__(self, writes: int):
-        self.top = writes  # key widx lives at position top - widx, 1..writes+1
-        self.tree = [-1] * (writes + 2)
-
-    def insert(self, widx: int, value: int) -> None:
-        tree, i = self.tree, self.top - widx
-        while i < len(tree):
-            if tree[i] < value:
-                tree[i] = value
-            i += i & -i
-
-    def max_above(self, widx: int) -> int:
-        """Largest value inserted under a key greater than ``widx``, or -1."""
-        tree, i, best = self.tree, self.top - widx - 1, -1
-        while i > 0:
-            if tree[i] > best:
-                best = tree[i]
-            i -= i & -i
-        return best
-
-
 def _inversions(trace: Trace, suffix_start: int) -> Iterator[tuple[Violation, int]]:
     """Each new-old inversion of the suffix, with its cut."""
     by_response = _checkable_reads(trace.completed[suffix_start:])
     by_invoke = sorted(by_response, key=lambda op: op.invoke_pos)
     best: Optional[Operation] = None  # completed read with max widx so far
-    latest_above = _MaxTree(len(trace.writes))  # widx -> max rank of such reads
+    # the staircase: -widx rising (widx strictly falling), rank rising
+    neg_widx: list[int] = []
+    ranks: list[int] = []
     i = 0
     for read in by_invoke:
         while i < len(by_response) and by_response[i].response_pos < read.invoke_pos:
             prev = by_response[i]
             if best is None or prev.widx > best.widx:
                 best = prev
-            latest_above.insert(prev.widx, prev.rank)
+            while neg_widx and neg_widx[-1] >= -prev.widx:
+                neg_widx.pop()
+                ranks.pop()
+            neg_widx.append(-prev.widx)
+            ranks.append(prev.rank)
             i += 1
         if best is not None and read.widx < best.widx:
+            j = bisect_left(neg_widx, -read.widx)  # the entries with widx above
             yield Violation(
                 "new-old-inversion",
                 (best.op_id, read.op_id),
                 f"read {read.op_id} returned older value than earlier read "
                 f"{best.op_id}",
-            ), latest_above.max_above(read.widx) + 1
+            ), ranks[j - 1] + 1
 
 
 def check_regularity(trace: Trace, suffix_start: int = 0) -> list[Violation]:

@@ -29,8 +29,8 @@ def _out_dir(args) -> Path:
 
 def cmd_run(args) -> int:
     try:
-        config = parse_scenario(Path(args.config).read_text())
-    except OSError as exc:
+        config = parse_scenario(Path(args.config).read_text(encoding="utf-8"))
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"error: cannot read config: {exc}", file=sys.stderr)
         return 2
     except ScenarioError as exc:
@@ -60,20 +60,19 @@ def cmd_run(args) -> int:
 
 
 def cmd_check(args) -> int:
-    try:
-        lines = Path(args.trace).read_text().splitlines()
-    except OSError as exc:
-        print(f"error: cannot read trace: {exc}", file=sys.stderr)
-        return 2
     metrics = None
     if args.metrics:
         try:
-            metrics = json.loads(Path(args.metrics).read_text())
-        except (OSError, json.JSONDecodeError) as exc:
+            metrics = json.loads(Path(args.metrics).read_text(encoding="utf-8"))
+        except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
             print(f"error: cannot read metrics: {exc}", file=sys.stderr)
             return 2
     try:
-        trace = parse_trace(lines)
+        with open(args.trace, encoding="utf-8") as lines:
+            trace = parse_trace(lines)  # decodes the file as it goes
+    except (OSError, UnicodeDecodeError) as exc:
+        print(f"error: cannot read trace: {exc}", file=sys.stderr)
+        return 2
     except TraceError as exc:
         print(f"error: malformed trace: {exc}", file=sys.stderr)
         return 2

@@ -61,6 +61,11 @@ def test_parse_rejects_orphan_response():
         parse_trace(lines)
 
 
+def event(step, proc, kind, op_id, **extra):
+    return json.dumps({"step": step, "proc": proc, "event": kind,
+                       "op_id": op_id, **extra})
+
+
 def test_parse_rejects_garbage():
     with pytest.raises(TraceError):
         parse_trace(["not json"])
@@ -69,11 +74,45 @@ def test_parse_rejects_garbage():
                                  "op_id": "a"})])
     with pytest.raises(TraceError):
         parse_trace([json.dumps({"step": 1, "proc": 0})])
+    cases = [
+        ("{} {}", "not valid JSON"),
+        ('{"a": 1} x', "not valid JSON"),
+        ("3", "not a JSON object"),
+        ("[]", "not a JSON object"),
+        ('"write_invoke"', "not a JSON object"),
+        (event(1, 0, ["write", "invoke"], "a"), "unknown event kind"),
+        (event(1, [0], "write_invoke", "a", value="v#1"), "proc and step"),
+        (event(1, "0", "write_invoke", "a", value="v#1"), "proc and step"),
+        (event(True, 0, "write_invoke", "a", value="v#1"), "proc and step"),
+        (event(1.5, 0, "write_invoke", "a", value="v#1"), "proc and step"),
+        (event(1, 0, "write_invoke", ["a"], value="v#1"), "op_id"),
+        (event(1, 0, "write_invoke", 7, value="v#1"), "op_id"),
+        (event(1, 0, "write_invoke", "a", value=["v#1"]), "value"),
+        (event(1, 0, "write_invoke", "a", value=1), "value"),
+    ]
+    for line, reason in cases:
+        with pytest.raises(TraceError, match=reason):
+            parse_trace([line])
+    read = [event(1, 1, "read_invoke", "r"),
+            event(2, 1, "read_response", "r", value={"v": 1})]
+    with pytest.raises(TraceError, match="event 1: value"):
+        parse_trace(read)
 
 
-def event(step, proc, kind, op_id, **extra):
-    return json.dumps({"step": step, "proc": proc, "event": kind,
-                       "op_id": op_id, **extra})
+def test_parse_streams_any_iterable():
+    lines = ['{"type": "header", "config": {"n": 3}}', ""] + make_trace_lines({
+        0: [Op("write", "v#1", 1, 2), Op("write", "v#2", 5, 6)],
+        1: [Op("read", "v#1", 3, 4), Op("read", "v_init", 7, 8)],
+    })
+    listed = find_stabilization(parse_trace(lines)).to_dict()
+    assert find_stabilization(parse_trace(iter(lines))).to_dict() == listed
+    streamed = parse_trace(line + "\n" for line in lines)
+    assert find_stabilization(streamed).to_dict() == listed
+    # positions count the blank line, whatever the iterable
+    broken = lines[:2] + ["  ", "{} {}"]
+    for source in (broken, iter(broken), (line for line in broken)):
+        with pytest.raises(TraceError, match="^event 3: not valid JSON$"):
+            parse_trace(source)
 
 
 def test_parse_rejects_second_writer():

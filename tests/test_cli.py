@@ -134,12 +134,51 @@ def event(step, proc, kind, op_id, **extra):
       event(3, 0, "write_invoke", "w2", value="v#1")], "written twice"),
     ([event(1, 0, "write_invoke", "x", value="v#1"),
       event(2, 1, "read_invoke", "x")], "used twice"),
-], ids=["second-writer", "repeated-value", "reused-op-id"])
+    ([3], "not a JSON object"),
+    ([[]], "not a JSON object"),
+    ([event(1, [0], "write_invoke", "w1", value="v#1")], "proc and step"),
+    ([event(True, 0, "write_invoke", "w1", value="v#1")], "proc and step"),
+    ([event(1, 0, "write_invoke", ["w1"], value="v#1")], "op_id must be"),
+    ([event(1, 0, "write_invoke", "w1", value=["v#1"])], "value must be"),
+], ids=["second-writer", "repeated-value", "reused-op-id", "number-line",
+        "list-line", "list-proc", "bool-step", "list-op-id", "list-value"])
 def test_check_rejects_unsupported_trace(tmp_path, capsys, lines, reason):
     assert check_lines(tmp_path, lines) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "malformed trace" in captured.err and reason in captured.err
+
+
+NOT_UTF8 = b"n = 5\n\xff\xfe\n"
+
+
+def test_run_rejects_non_utf8_config(tmp_path, capsys):
+    bad = tmp_path / "latin.cfg"
+    bad.write_bytes(NOT_UTF8)
+    assert main(["run", "--config", str(bad), "--out", str(tmp_path)]) == 2
+    assert "error: cannot read config" in capsys.readouterr().err
+    assert not list(tmp_path.glob("trace-*"))
+
+
+def test_check_rejects_non_utf8_trace(tmp_path, capsys):
+    good = json.dumps(event(1, 0, "write_invoke", "w1", value="v#1")).encode()
+    path = tmp_path / "trace.jsonl"
+    path.write_bytes(good + b"\n" + NOT_UTF8)
+    assert main(["check", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: cannot read trace" in captured.err
+
+
+def test_check_rejects_non_utf8_metrics(tmp_path, capsys):
+    trace = tmp_path / "trace.jsonl"
+    trace.write_text(json.dumps(event(1, 0, "write_invoke", "w1", value="v#1")) + "\n")
+    metrics = tmp_path / "metrics.json"
+    metrics.write_bytes(NOT_UTF8)
+    assert main(["check", str(trace), "--metrics", str(metrics)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: cannot read metrics" in captured.err
 
 
 def test_check_degenerate_traces(tmp_path, capsys):
