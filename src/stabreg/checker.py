@@ -131,7 +131,7 @@ def parse_trace(lines) -> Trace:
             continue
         try:
             event, end = _decode(line)
-        except json.JSONDecodeError:
+        except (json.JSONDecodeError, RecursionError):  # deep nesting
             end = -1
         if end != len(line):
             raise TraceError(f"event {pos}: not valid JSON")

@@ -64,7 +64,10 @@ def cmd_check(args) -> int:
     if args.metrics:
         try:
             metrics = json.loads(Path(args.metrics).read_text(encoding="utf-8"))
-        except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+            if type(metrics) is not dict:
+                raise ValueError("not a JSON object")
+        # ValueError covers bad UTF-8 and bad JSON; deep nesting recurses
+        except (OSError, ValueError, RecursionError) as exc:
             print(f"error: cannot read metrics: {exc}", file=sys.stderr)
             return 2
     try:
@@ -95,23 +98,14 @@ def cmd_game(args) -> int:
     failures = 0
     for seed in range(args.seed_start, args.seed_start + args.seeds):
         hider = make_hider(args.strategy, args.m, random.Random(seed ^ 0x5EED), params)
-        result = play(
-            hider,
-            args.m,
-            seed=seed,
-            params=params,
-            queue_capacity=args.queue_capacity,
-        )
+        result = play(hider, args.m, seed=seed, params=params,
+                      queue_capacity=args.queue_capacity)
         if args.transcript:
             for record in result.transcript:
-                print(json.dumps({
-                    "seed": seed,
-                    "round": record.round,
-                    "finder": format_label(record.finder_label),
-                    "response": (
-                        format_label(record.response) if record.response else None
-                    ),
-                }))
+                response = record.response
+                print(json.dumps({"seed": seed, "round": record.round,
+                                  "finder": format_label(record.finder_label),
+                                  "response": format_label(response) if response else None}))
         if not result.won or result.winning_round > args.m + 1:
             failures += 1
         if result.won:

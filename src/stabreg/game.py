@@ -19,7 +19,6 @@ from .labels import (
     Label,
     LabelParams,
     incomparable_family,
-    next_label,
     precedes_b,
     random_label,
 )
@@ -57,7 +56,7 @@ def finder_step(
         queue.enqueue(prev_label)
     if response is not None:
         queue.enqueue(response)
-    return next_label(queue.entries, params), queue
+    return queue.next_label(params), queue
 
 
 class HiderStrategy:

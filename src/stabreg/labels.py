@@ -1,23 +1,23 @@
 """Bounded epoch labels that can dominate arbitrary, never-generated labels.
 
 A label is a pair (sting, antistings): the sting is one element of the
-universe X = {1..K} and the antistings are a k-subset of X, with K = k*k + 1.
-Label ``a`` precedes label ``b`` when a's sting is caught in b's antistings
-while b's sting avoids a's antistings.  Given any collection of at most k
-labels, even mutually incomparable ones that no generator ever produced,
-``next_label`` builds a label strictly above all of them.
-
-Each label lazily caches its antistings as an int bitmask (bit ``a`` set for
-antisting ``a``), so ``next_label`` searches for a free sting with a few
-word operations per input label instead of rebuilding a set of up to k*k
-elements.  A label that never reaches ``next_label`` never builds its mask.
+universe X = {1..K} and the antistings, a sorted tuple, are a k-subset of X,
+with K = k*k + 1.  Label ``a`` precedes label ``b`` when a's sting is caught
+in b's antistings while b's sting avoids a's antistings.  Given any
+collection of at most k labels, even mutually incomparable ones that no
+generator ever produced, ``next_label`` builds a label strictly above all of
+them.  Its sting is the lowest element outside every input antisting set:
+``next_label`` finds it in any list by taking the union window by window,
+and ``next_label_covered`` in a union that the caller (``EpochsQueue``)
+keeps up to date.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from typing import Collection, Iterable, Optional, Sequence
+from bisect import bisect_left, bisect_right
+from dataclasses import dataclass
+from typing import Iterable, Iterator, Optional, Sequence
 
 
 class LabelError(ValueError):
@@ -41,53 +41,24 @@ class LabelParams:
 
 @dataclass(frozen=True)
 class Label:
-    """An epoch label: sting in {1..K} plus a k-set of antistings."""
+    """An epoch label: sting in {1..K} plus k antistings, a sorted tuple."""
 
     sting: int
-    antistings: frozenset[int]
-
-    # The antistings as an int bitmask (bit ``a`` set for antisting ``a``),
-    # filled in by ``next_label`` the first time the label reaches it.  A
-    # plain field keeps every attribute read on the interpreter's fast path;
-    # ``functools.cached_property`` or ``__getattr__`` slowed the
-    # many-small-label game workload measurably.
-    _mask: Optional[int] = field(default=None, init=False, repr=False, compare=False)
+    antistings: tuple[int, ...]
 
     def validate(self, params: LabelParams) -> None:
         K = params.universe_size
-        if not 1 <= self.sting <= K:
-            raise LabelError(f"sting {self.sting} outside universe 1..{K}")
-        if len(self.antistings) != params.k:
-            raise LabelError(
-                f"antisting set has {len(self.antistings)} elements, need {params.k}"
-            )
-        if not all(1 <= a <= K for a in self.antistings):
-            raise LabelError("antisting outside universe")
-
-
-def _bitmask(elements: Collection[int], K: int) -> int:
-    """Bitmask of the non-empty ``elements``, each of which must lie in 1..K."""
-    top = max(elements)
-    if min(elements) < 1 or top > K:
-        raise LabelError(f"antisting outside universe 1..{K}")
-    if top < 4096:
-        # each or copies at most a few hundred bytes: cheaper per element
-        # than the byte-array update below
-        mask = 0
-        for a in elements:
-            mask |= 1 << a
-        return mask
-    # Or-ing would copy the growing int once per element, quadratic when the
-    # elements spread over a large universe; filling a byte array and
-    # converting it once stays linear.
-    bits = bytearray(top // 8 + 1)
-    for a in elements:
-        bits[a >> 3] |= 1 << (a & 7)
-    return int.from_bytes(bits, "little")
+        anti = self.antistings
+        if len(anti) != params.k:
+            raise LabelError(f"antisting set has {len(anti)} elements, need {params.k}")
+        if any(a >= b for a, b in zip(anti, anti[1:])):
+            raise LabelError("antistings must be sorted and distinct")
+        if not (1 <= self.sting <= K and 1 <= anti[0] and anti[-1] <= K):
+            raise LabelError(f"sting or antisting outside universe 1..{K}")
 
 
 def make_label(sting: int, antistings: Iterable[int]) -> Label:
-    return Label(sting, frozenset(antistings))
+    return Label(sting, tuple(sorted(set(antistings))))
 
 
 def precedes_b(a: Label, b: Label) -> bool:
@@ -96,61 +67,93 @@ def precedes_b(a: Label, b: Label) -> bool:
     Antisymmetric by construction; many pairs are incomparable, and a label
     never precedes itself.
     """
-    return (a.sting in b.antistings) and (b.sting not in a.antistings)
+    anti, x = b.antistings, a.sting
+    i = bisect_right(anti, x)
+    if not i or anti[i - 1] != x:
+        return False
+    anti, x = a.antistings, b.sting
+    i = bisect_right(anti, x)
+    return not i or anti[i - 1] != x
 
 
 def next_label(labels: Iterable[Label], params: LabelParams) -> Label:
     """Build a label strictly above every member of ``labels`` (at most k of them).
 
     The antisting set collects the input stings, padded with the smallest
-    unused universe elements.  The sting must avoid every input antisting
-    set, and one outside the new antisting set is preferred, so it is the
-    lowest zero bit of ``blocked | mask(new antistings)``, where ``blocked``
-    ors the inputs' cached masks with bit 0 (outside the universe).  When
-    that bit lies above K, the sting falls back to the lowest zero bit of
-    ``blocked`` alone, which is at most K: at most k input sets of k
-    elements each leave at least one of the k*k + 1 universe elements free.
+    unused universe elements.  The sting is the lowest element outside the
+    input antisting sets and the new one, or if that exceeds K, outside the
+    input sets alone: k sets of k elements leave one of the k*k + 1 free.
     """
     labels = list(labels)
-    k = params.k
-    K = params.universe_size
+    return _next_label(labels, params, _free_elements(labels, params.universe_size))
+
+
+def next_label_covered(labels: list[Label], covered: bytearray, params: LabelParams) -> Label:
+    """``next_label(labels, params)``, where ``covered[x]`` is nonzero exactly
+    when some label holds antisting x (elements past its end: none does)."""
+    return _next_label(labels, params, _uncovered(covered))
+
+
+def _next_label(labels: Sequence[Label], params: LabelParams, free: Iterator[int]) -> Label:
+    """The label above ``labels``; ``free`` yields the elements outside
+    every input antisting set in ascending order."""
+    k, K = params.k, params.universe_size
     if len(labels) > k:
         raise LabelError(f"next_label takes at most k={k} labels, got {len(labels)}")
     for lab in labels:
-        # length/sting checks suffice to catch labels built for a different k
-        if len(lab.antistings) != k or not 1 <= lab.sting <= K:
+        # length/range checks suffice to catch labels built for a different k
+        anti = lab.antistings
+        if len(anti) != k or not 1 <= lab.sting <= K or anti[0] < 1 or anti[-1] > K:
             raise LabelError(f"label {lab} invalid for k={k}")
-
     if not labels:
-        return Label(1, frozenset(range(1, k + 1)))
+        return Label(1, tuple(range(1, k + 1)))
 
-    antistings = {lab.sting for lab in labels}
-    for x in range(1, K + 1):
-        if len(antistings) == k:
+    stings = {lab.sting for lab in labels}
+    top, antistings = _padded(stings, k)
+    fallback = sting = next(free)
+    while sting <= top or sting in stings:
+        sting = next(free)
+    return Label(sting if sting <= K else fallback, antistings)
+
+
+def _padded(stings: set[int], k: int) -> tuple[int, tuple[int, ...]]:
+    """``stings`` padded to k elements with the least others, which fill
+    1..top: (top, the sorted antistings)."""
+    ordered = sorted(stings)
+    top = k - len(ordered)
+    for x in ordered:
+        if x > top:
             break
-        antistings.add(x)
+        top += 1
+    return top, (*range(1, top + 1), *ordered[bisect_right(ordered, top):])
 
-    blocked = 1
-    for lab in labels:
-        mask = lab._mask
-        if mask is None:
-            mask = _bitmask(lab.antistings, K)
-            object.__setattr__(lab, "_mask", mask)
-        blocked |= mask
-    new_mask = _bitmask(antistings, K)
-    taken = blocked | new_mask
-    sting = (~taken & (taken + 1)).bit_length() - 1
-    if sting > K:
-        sting = (~blocked & (blocked + 1)).bit_length() - 1
-    label = Label(sting, frozenset(antistings))
-    # the next epoch change reads this label's mask: keep the one built here
-    object.__setattr__(label, "_mask", new_mask)
-    return label
+
+def _free_elements(labels: Sequence[Label], K: int) -> Iterator[int]:
+    """Elements >= 1 outside every label's antistings, in ascending order,
+    window by window: [start, bound) strikes out the slices of antistings in
+    it, then the bound doubles.  K + 1 is free, so one window of K + 1 will do."""
+    start, bound = 1, min(64, K + 2)
+    while True:
+        free = set(range(start, bound))
+        for lab in labels:
+            anti = lab.antistings
+            free.difference_update(anti[bisect_left(anti, start):bisect_left(anti, bound)])
+        yield from sorted(free)
+        start, bound = bound, 2 * bound
+
+
+def _uncovered(covered: bytearray) -> Iterator[int]:
+    """Elements >= 1 whose ``covered`` byte is zero or missing, ascending."""
+    x = covered.find(0, 1)
+    while x >= 0:
+        yield x
+        x = covered.find(0, x + 1)
+    yield from itertools.count(max(len(covered), 1))
 
 
 def format_label(label: Label) -> str:
     """Canonical textual form ``(s|a1,a2,...)`` with sorted antistings."""
-    return "(%d|%s)" % (label.sting, ",".join(str(a) for a in sorted(label.antistings)))
+    return "(%d|%s)" % (label.sting, ",".join(map(str, label.antistings)))
 
 
 def parse_label(text: str) -> Label:
@@ -160,10 +163,10 @@ def parse_label(text: str) -> Label:
     sting_part, anti_part = text[1:-1].split("|", 1)
     try:
         sting = int(sting_part)
-        antistings = frozenset(int(a) for a in anti_part.split(","))
+        antistings = [int(a) for a in anti_part.split(",")]
     except ValueError:
         raise LabelError(f"bad label literal: {text!r}") from None
-    return Label(sting, antistings)
+    return make_label(sting, antistings)
 
 
 def all_labels(params: LabelParams) -> Iterable[Label]:
@@ -171,16 +174,13 @@ def all_labels(params: LabelParams) -> Iterable[Label]:
     K = params.universe_size
     universe = range(1, K + 1)
     for antistings in itertools.combinations(universe, params.k):
-        fs = frozenset(antistings)
         for sting in universe:
-            yield Label(sting, fs)
+            yield Label(sting, antistings)
 
 
 def random_label(rng, params: LabelParams) -> Label:
     K = params.universe_size
-    return Label(
-        rng.randint(1, K), frozenset(rng.sample(range(1, K + 1), params.k))
-    )
+    return Label(rng.randint(1, K), tuple(sorted(rng.sample(range(1, K + 1), params.k))))
 
 
 def incomparable_family(
@@ -199,33 +199,6 @@ def incomparable_family(
     pool = sting_pool if sting_pool is not None else range(1, K + 1)
     if size > len(pool):
         raise LabelError("sting pool too small for requested family")
-    if rng is None:
-        stings = list(pool)[:size]
-    else:
-        stings = rng.sample(pool, size)
-    base = set(stings)
-    labels = []
-    for s in stings:
-        antistings = set(base)
-        for x in range(1, K + 1):
-            if len(antistings) == k:
-                break
-            if x not in antistings:
-                antistings.add(x)
-        labels.append(Label(s, frozenset(antistings)))
-    return labels
-
-
-__all__: Sequence[str] = [
-    "Label",
-    "LabelError",
-    "LabelParams",
-    "all_labels",
-    "format_label",
-    "incomparable_family",
-    "make_label",
-    "next_label",
-    "parse_label",
-    "precedes_b",
-    "random_label",
-]
+    stings = list(pool)[:size] if rng is None else rng.sample(pool, size)
+    _top, antistings = _padded(set(stings), k)
+    return [Label(s, antistings) for s in stings]

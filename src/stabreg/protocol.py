@@ -260,7 +260,7 @@ class BoundedWriter(QuorumProcessor):
                                      self.params.label_params)
         else:
             self.epochs.enqueue(self.ml.epoch)
-            self.ml = Timestamp(next_label(self.epochs.entries, self.params.label_params), 0)
+            self.ml = Timestamp(self.epochs.next_label(self.params.label_params), 0)
         if self.ml.epoch != old_epoch:
             self.epoch_changes += 1
         self.value = self.pending_value

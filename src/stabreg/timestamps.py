@@ -9,10 +9,12 @@ bound the next timestamp opens a fresh epoch dominating the whole queue.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from typing import Optional
 
-from .labels import Label, LabelParams, format_label, next_label, parse_label, precedes_b
+from .labels import (Label, LabelError, LabelParams, format_label, next_label_covered,
+                     parse_label, precedes_b)
 
 
 @dataclass(frozen=True)
@@ -34,7 +36,10 @@ def precedes_e(a: MaybeTimestamp, b: MaybeTimestamp) -> bool:
         return False
     if a is None:
         return True
-    return precedes_b(a.epoch, b.epoch) or (a.epoch == b.epoch and a.seq < b.seq)
+    # precedes_b(x, x) is False, so equal epochs leave only the seq order
+    if a.epoch is b.epoch or a.epoch == b.epoch:
+        return a.seq < b.seq
+    return precedes_b(a.epoch, b.epoch)
 
 
 def dominates(a: MaybeTimestamp, b: MaybeTimestamp) -> bool:
@@ -46,7 +51,10 @@ class EpochsQueue:
     """Bounded move-to-front queue of distinct labels, newest first.
 
     Re-enqueueing a present label moves it to the head without growing the
-    queue; at capacity the oldest label is evicted.
+    queue; at capacity the oldest label is evicted.  For ``next_label`` the
+    queue keeps the union of its antistings: ``covered[x]`` is 1 while some
+    label holds x, and ``_counts[x]`` counts them.  Both change only when a
+    label enters or leaves, up to the largest antisting ever held.
     """
 
     def __init__(self, capacity: int):
@@ -55,12 +63,37 @@ class EpochsQueue:
         self.capacity = capacity
         # Insertion-ordered dict used as a set: last key = newest.
         self._entries: dict[Label, None] = {}
+        self._counts = array("I")
+        self.covered = bytearray()
 
     def enqueue(self, label: Label) -> None:
         entries = self._entries
-        if entries.pop(label, _MISSING) is _MISSING and len(entries) >= self.capacity:
-            del entries[next(iter(entries))]  # evict the oldest
+        if entries.pop(label, _MISSING) is not _MISSING:  # a move to the front
+            entries[label] = None
+            return
+        anti = label.antistings
+        if not anti or anti[0] < 1:  # sorted: anti[0] is the least
+            raise LabelError(f"antistings {anti} are not a set of positive ints")
+        counts, covered = self._counts, self.covered
+        grow = anti[-1] + 1 - len(covered)
+        if grow > 0:
+            counts.frombytes(bytes(grow * counts.itemsize))
+            covered += bytes(grow)
+        for a in anti:
+            counts[a] += 1
+            covered[a] = 1
+        if len(entries) >= self.capacity:
+            oldest = next(iter(entries))
+            del entries[oldest]
+            for a in oldest.antistings:
+                counts[a] -= 1
+                if not counts[a]:
+                    covered[a] = 0
         entries[label] = None
+
+    def next_label(self, params: LabelParams) -> Label:
+        """``labels.next_label(self.entries, params)``, read off the union."""
+        return next_label_covered(list(self._entries), self.covered, params)
 
     @property
     def entries(self) -> list[Label]:
@@ -86,7 +119,7 @@ def next_timestamp(
     if current.seq < seq_bound:
         return Timestamp(current.epoch, current.seq + 1)
     queue.enqueue(current.epoch)
-    return Timestamp(next_label(queue.entries, params), 0)
+    return Timestamp(queue.next_label(params), 0)
 
 
 def format_timestamp(ts: MaybeTimestamp) -> str:

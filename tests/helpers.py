@@ -14,7 +14,7 @@ import random
 from dataclasses import dataclass
 
 from stabreg.checker import Trace, check_suffix
-from stabreg.labels import Label, LabelParams
+from stabreg.labels import Label, LabelParams, make_label
 from stabreg.protocol import INITIAL_VALUE
 
 
@@ -204,7 +204,7 @@ def set_scan_next_label(labels: list[Label], params: LabelParams) -> Label:
     k = params.k
     K = params.universe_size
     if not labels:
-        return Label(1, frozenset(range(1, k + 1)))
+        return make_label(1, range(1, k + 1))
     antistings = {lab.sting for lab in labels}
     for x in range(1, K + 1):
         if len(antistings) == k:
@@ -223,4 +223,4 @@ def set_scan_next_label(labels: list[Label], params: LabelParams) -> Label:
             break
     if sting is None:
         sting = fallback
-    return Label(sting, frozenset(antistings))
+    return make_label(sting, antistings)

@@ -181,6 +181,28 @@ def test_check_rejects_non_utf8_metrics(tmp_path, capsys):
     assert "error: cannot read metrics" in captured.err
 
 
+@pytest.mark.parametrize("text", ["[1]", "3", "null", "[" * 100_000])
+def test_check_rejects_metrics_that_are_not_an_object(tmp_path, capsys, text):
+    trace = tmp_path / "trace.jsonl"
+    trace.write_text(json.dumps(event(1, 0, "write_invoke", "w1", value="v#1")) + "\n")
+    metrics = tmp_path / "metrics.json"
+    metrics.write_text(text)
+    assert main(["check", str(trace), "--metrics", str(metrics)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: cannot read metrics" in captured.err
+
+
+def test_check_rejects_deeply_nested_line(tmp_path, capsys):
+    path = tmp_path / "trace.jsonl"
+    path.write_text(json.dumps(event(1, 0, "write_invoke", "w1", value="v#1")) + "\n"
+                    + "[" * 100_000 + "\n")
+    assert main(["check", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: malformed trace: event 1: not valid JSON" in captured.err
+
+
 def test_check_degenerate_traces(tmp_path, capsys):
     assert check_lines(tmp_path, []) == 0
     assert json.loads(capsys.readouterr().out)["atomic_from"] == 0

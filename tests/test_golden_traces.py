@@ -3,6 +3,10 @@
 Every case hashes the trace lines and the metrics JSON of one
 ``run_scenario`` call.  A change that alters the RNG call order, an event,
 or a metric breaks a hash; refresh them only when that change is meant.
+A second hash per case covers the labels at the end of the run, which the
+trace does not show: the writer's ``ml`` and epochs queue, each reader's
+``ml`` and ``cl`` (the oracle protocol's sequence numbers instead).  A
+change to how labels are built can keep every trace and still break it.
 
 The module runs without pytest too (``PYTHONPATH=src python
 tests/test_golden_traces.py``), so it can check interpreters that have no
@@ -15,46 +19,57 @@ corrupted start still goes through ``random``'s pure-Python ``randint`` and
 import hashlib
 import json
 
-from stabreg.sim import ScenarioConfig, run_scenario
+from stabreg.labels import format_label
+from stabreg.sim import ScenarioConfig, Simulation, run_scenario
+from stabreg.timestamps import format_timestamp
 
-# (name, config keywords, audit, sha256 of the lines and the metrics)
+# (name, config keywords, audit, sha256 of the lines and the metrics,
+#  sha256 of the final label state)
 CASES = [
     ("clean-n5-c3",
      dict(n=5, seed=11, steps=100_000, writes=150, c=3),
      False,
-     "e52700e59cd74c3f1ba72be9cac004b0fdd1871102077d292b3316cb5b2fd07e"),
+     "e52700e59cd74c3f1ba72be9cac004b0fdd1871102077d292b3316cb5b2fd07e",
+     "c9f4d10618136d0dfba74df7cf21760bf91f728d667b6db9761adb8942a869bd"),
     ("random-n3",
      dict(n=3, seed=12, steps=60_000, writes=40, r=4, corruption="random"),
      False,
-     "9350441483bb858ed8fe1eb3394543f3b08b16210f4b51fd397c64687d36444f"),
+     "9350441483bb858ed8fe1eb3394543f3b08b16210f4b51fd397c64687d36444f",
+     "72032f420a39bea10eda4bb172d5f0edbb436a26757b93694995ec475574971e"),
     ("near-wrap-n7",
      dict(n=7, seed=13, steps=60_000, writes=25, r=3, corruption="near-wrap"),
      False,
-     "b90dfde0a0b1fa11f9b6da4f4aead077abc3cbe0950242dd7879cd08d945d39e"),
+     "b90dfde0a0b1fa11f9b6da4f4aead077abc3cbe0950242dd7879cd08d945d39e",
+     "481abcfa2d5acebe72550cc9905e043f927322467d06d22dc14deade8714d978"),
     ("hidden-epoch-n5-c2",
      dict(n=5, seed=14, steps=60_000, writes=30, c=2, r=2,
           corruption="hidden-epoch"),
      False,
-     "5caf2f3909996a43188b0304fad1cb037398685a4d9655f8a749da54a2ec9ed2"),
+     "5caf2f3909996a43188b0304fad1cb037398685a4d9655f8a749da54a2ec9ed2",
+     "4764545712b6e9e65df934373ffd29e6fce248f017d1dc55985b01c9aafb1177"),
     ("oracle-random-n5",
      dict(n=5, seed=15, steps=60_000, writes=40, protocol="oracle",
           corruption="random"),
      False,
-     "fbd9ce22a9486f252ef70496ec91d876ff546d499df33f7a729fc82b84a54e7c"),
+     "fbd9ce22a9486f252ef70496ec91d876ff546d499df33f7a729fc82b84a54e7c",
+     "1daa1e90df1d0ab7469fce880121d330cc5fa8dd68bd721e28e2aed2e91cffc9"),
     ("oracle-clean-n3",
      dict(n=3, seed=16, steps=60_000, writes=40, protocol="oracle"),
      False,
-     "e0cafb82fcba971efcd89ad50623453261f2987b16b0568744d6248dbf4d9e33"),
+     "e0cafb82fcba971efcd89ad50623453261f2987b16b0568744d6248dbf4d9e33",
+     "2283a318a151424525ce0992c23d92805e3c334268b04621ccd5db89100f8ecf"),
     ("lossy-crash-n5",
      dict(n=5, seed=17, steps=100_000, writes=100, loss_prob=0.1,
           crashes=[(300, 3), (1200, 1)]),
      False,
-     "36d66d2c25a657c9372e254356816c6255616933d0628c0a34a6b51f1d2a3031"),
+     "36d66d2c25a657c9372e254356816c6255616933d0628c0a34a6b51f1d2a3031",
+     "8caafa3b985a3f957645b996c971ba8a626f24b0618cc24976bcef98174f9e7c"),
     ("audit-lossy-crash-n7",
      dict(n=7, seed=18, steps=80_000, writes=20, c=2, loss_prob=0.1,
           corruption="random", crashes=[(500, 6)]),
      True,
-     "6ccf3418ae9e99c2fe83ee7b8e1fc1e2f47f598ea935e5c899ab694553b0b07e"),
+     "6ccf3418ae9e99c2fe83ee7b8e1fc1e2f47f598ea935e5c899ab694553b0b07e",
+     "5e21fa2c276edadc40f0e0c885b49dffd011e91cc3d0a7ce2e7347e98ec43925"),
 ]
 
 
@@ -64,13 +79,42 @@ def run_digest(config_kwargs: dict, audit: bool) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
+def final_labels(sim: Simulation) -> list[str]:
+    """Every processor's timestamps, and the writer's epochs newest first."""
+    lines = []
+    for proc in sim.procs:
+        if hasattr(proc, "max_seq"):  # the oracle protocol has no labels
+            lines.append(f"{proc.pid} seq {proc.max_seq}")
+            continue
+        lines.append(f"{proc.pid} ml {format_timestamp(proc.ml)}")
+        if hasattr(proc, "epochs"):
+            lines += [f"{proc.pid} epoch {format_label(label)}"
+                      for label in proc.epochs.entries]
+        else:
+            lines.append(f"{proc.pid} cl {format_timestamp(proc.cl)}")
+    return lines
+
+
+def label_digest(config_kwargs: dict, audit: bool) -> str:
+    sim = Simulation(ScenarioConfig(**config_kwargs), audit=audit)
+    sim.run()
+    blob = "\n".join(final_labels(sim))
+    return hashlib.sha256(blob.encode()).hexdigest()
+
+
 def test_golden_traces():
-    for name, config_kwargs, audit, digest in CASES:
+    for name, config_kwargs, audit, digest, _labels in CASES:
         assert run_digest(config_kwargs, audit) == digest, name
 
 
+def test_golden_labels():
+    for name, config_kwargs, audit, _digest, labels in CASES:
+        assert label_digest(config_kwargs, audit) == labels, name
+
+
 if __name__ == "__main__":
-    for name, config_kwargs, audit, digest in CASES:
-        got = run_digest(config_kwargs, audit)
-        print(f"{'ok  ' if got == digest else 'FAIL'} {name} {got}")
-        assert got == digest, name
+    for name, config_kwargs, audit, digest, labels in CASES:
+        got = run_digest(config_kwargs, audit), label_digest(config_kwargs, audit)
+        ok = got == (digest, labels)
+        print(f"{'ok  ' if ok else 'FAIL'} {name} {got[0]} labels {got[1]}")
+        assert ok, name

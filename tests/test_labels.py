@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from stabreg.labels import (
+    Label,
     LabelError,
     LabelParams,
     all_labels,
@@ -12,6 +13,7 @@ from stabreg.labels import (
     incomparable_family,
     make_label,
     next_label,
+    next_label_covered,
     parse_label,
     precedes_b,
     random_label,
@@ -180,12 +182,55 @@ def test_next_label_repeat_calls_over_full_queue_are_fast():
     assert time.perf_counter() - start < 2.0
 
 
-def test_masks_are_built_only_by_next_label():
-    label = random_label(random.Random(0), P2)
-    assert label._mask is None
-    result = next_label([label], P2)
-    for lab in (label, result):
-        assert lab._mask == sum(1 << a for a in lab.antistings)
+def covered_bytes(labels: list) -> bytearray:
+    covered = bytearray(max((max(lab.antistings) for lab in labels), default=0) + 1)
+    for lab in labels:
+        for a in lab.antistings:
+            covered[a] = 1
+    return covered
+
+
+@settings(max_examples=500, deadline=None)
+@given(label_inputs())
+def test_next_label_covered_matches_set_scan(case):
+    params, labels = case
+    expected = set_scan_next_label(labels, params)
+    assert next_label_covered(labels, covered_bytes(labels), params) == expected
+    # a union array longer than the antistings it holds changes nothing
+    padded = covered_bytes(labels) + bytes(params.universe_size)
+    assert next_label_covered(labels, padded, params) == expected
+
+
+def test_next_label_finds_a_free_element_past_many_windows():
+    # 20 disjoint chunks cover the universe 1..401 except 333, so the
+    # search doubles its window past 256 before it finds a free element
+    params = LabelParams(20)
+    pool = [x for x in range(1, 402) if x != 333]
+    labels = [make_label(381 + i, pool[i * 20:(i + 1) * 20]) for i in range(20)]
+    result = next_label(labels, params)
+    assert result == set_scan_next_label(labels, params)
+    assert result.sting == 333
+    assert all(precedes_b(member, result) for member in labels)
+
+
+def test_builders_give_sorted_tuples():
+    rng = random.Random(4)
+    params = LabelParams(6)
+    labels = [random_label(rng, params) for _ in range(6)]
+    labels += incomparable_family(6, params, rng)[:3]
+    labels.append(next_label(labels[:6], params))
+    labels.append(parse_label("(2|9,3,1,30,7,4)"))
+    labels.append(next(iter(all_labels(params))))
+    for label in labels:
+        assert type(label.antistings) is tuple
+        label.validate(params)
+    assert make_label(1, [5, 2, 5, 3]).antistings == (2, 3, 5)
+
+
+@pytest.mark.parametrize("antistings", [(3, 2), (2, 2), (4, 1)])
+def test_validate_rejects_unsorted_or_repeated_antistings(antistings):
+    with pytest.raises(LabelError, match="sorted and distinct"):
+        Label(1, antistings).validate(P2)
 
 
 def test_next_label_rejects_antisting_outside_universe():

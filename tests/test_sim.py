@@ -1,5 +1,6 @@
 import json
 import random
+import tracemalloc
 
 import pytest
 
@@ -282,3 +283,19 @@ def test_phase_message_bound():
     assert metrics["max_phase_requests"] <= 2 * 5
     assert metrics["max_phase_responses"] <= 2 * 5
     assert metrics["completed_phases"] > 0
+
+
+def test_random_corruption_run_stays_small():
+    # a full queue of random k=500 labels, and the labels generated above
+    # it, once took 10.6 MB here; per-label frozensets and dense masks
+    # were most of it
+    config = ScenarioConfig(n=5, c=3, r=1, corruption="random", seed=3,
+                            steps=400_000, writes=300)
+    tracemalloc.start()
+    try:
+        metrics = Simulation(config).run()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert metrics["writes_completed"] == 300
+    assert peak < 6_000_000, f"peak {peak / 1e6:.1f} MB"

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from stabreg.labels import LabelParams, all_labels, make_label
+from stabreg.labels import Label, LabelError, LabelParams, all_labels, make_label
 from stabreg.timestamps import (
     BOTTOM,
     EpochsQueue,
@@ -12,6 +12,8 @@ from stabreg.timestamps import (
     parse_timestamp,
     precedes_e,
 )
+
+from helpers import set_scan_next_label
 
 P2 = LabelParams(2)
 L_LOW = make_label(2, {4, 5})
@@ -99,6 +101,51 @@ def test_queue_fuzz_distinct_and_bounded(capacity, indices):
         model.insert(0, label)
         assert q.entries == model
         assert len(q) == len(set(q.entries)) <= capacity
+
+
+@st.composite
+def queue_runs(draw):
+    """Enqueues into a small queue: arbitrary new labels, which may evict,
+    repeats, which move a label to the front, and ``None`` for the label the
+    queue itself generates next.  Stings come from a small pool, so they
+    repeat across labels."""
+    k = draw(st.sampled_from([2, 3, 4, 8]))
+    params = LabelParams(k)
+    K = params.universe_size
+    capacity = draw(st.integers(1, k))
+    stings = draw(st.lists(st.integers(1, K), min_size=1, max_size=3))
+    ops: list = []
+    for _ in range(draw(st.integers(1, 40))):
+        choice = draw(st.integers(0, 3))
+        if choice == 0:
+            ops.append(None)
+        elif choice == 1 and any(ops):
+            ops.append(draw(st.sampled_from([op for op in ops if op])))
+        else:
+            antistings = draw(st.sets(st.integers(1, K), min_size=k, max_size=k))
+            ops.append(make_label(draw(st.sampled_from(stings)), antistings))
+    return params, capacity, ops
+
+
+@settings(max_examples=300, deadline=None)
+@given(queue_runs())
+def test_queue_keeps_the_antisting_union(case):
+    params, capacity, ops = case
+    q = EpochsQueue(capacity)
+    for op in ops:
+        q.enqueue(q.next_label(params) if op is None else op)
+        union = set().union(*(lab.antistings for lab in q.entries))
+        assert {x for x, flag in enumerate(q.covered) if flag} == union
+        assert q.next_label(params) == set_scan_next_label(q.entries, params)
+
+
+def test_queue_rejects_antisting_below_one_unchanged():
+    q = EpochsQueue(1)
+    q.enqueue(L_LOW)
+    with pytest.raises(LabelError):
+        q.enqueue(Label(1, (0, 2)))
+    assert q.entries == [L_LOW]
+    assert {x for x, flag in enumerate(q.covered) if flag} == {4, 5}
 
 
 def test_next_timestamp_increments_seq():
