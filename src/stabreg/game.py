@@ -49,14 +49,14 @@ def finder_step(
     prev_label: Optional[Label],
     response: Optional[Label],
     params: LabelParams,
-) -> tuple[Label, EpochsQueue]:
+) -> Label:
     """One finder move: bank the previous proposal and the hider's witness,
     then propose a label above everything remembered."""
     if prev_label is not None:
         queue.enqueue(prev_label)
     if response is not None:
         queue.enqueue(response)
-    return queue.next_label(params), queue
+    return queue.next_label(params)
 
 
 class HiderStrategy:
@@ -188,7 +188,7 @@ def play(
     prev: Optional[Label] = None
     response: Optional[Label] = None
     for rnd in range(1, max_rounds + 1):
-        label, queue = finder_step(queue, prev, response, params)
+        label = finder_step(queue, prev, response, params)
         if check_queue_front and len(finder_labels) == len(exposed_labels):
             _assert_queue_front(queue, finder_labels, exposed_labels)
         finder_labels.append(label)

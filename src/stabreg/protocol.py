@@ -97,8 +97,10 @@ class ProtocolParams:
 
 INITIAL_VALUE = "v_init"
 
-# Event recorder signature: (pid, kind, op_id, value)
-Recorder = Callable[[int, str, str, Optional[str]], None]
+# Event recorder signature: (pid, kind, op_id, value).  A finished quorum
+# phase is reported as kind "phase_done", with the phase's kind in the op_id
+# slot and (#request destinations, #responses) as the value.
+Recorder = Callable[[int, str, str, Any], None]
 
 
 @dataclass
@@ -114,7 +116,14 @@ class Phase:
 
 
 class QuorumProcessor:
-    """Shared quorum plumbing: phase management and request retransmission."""
+    """The quorum client shared by both protocols.
+
+    Every operation is a quorum read phase, then a quorum write phase: the
+    writer installs a new timestamp, a reader writes back the dominating one
+    it found.  A protocol supplies ``snapshot`` and ``apply_quorum_write``
+    (the replica), ``choose`` (the write phase's payload), and, for readers,
+    ``adopt`` (whether the write-back is kept).
+    """
 
     def __init__(self, pid: int, params: ProtocolParams, recorder: Recorder):
         self.pid = pid
@@ -123,10 +132,38 @@ class QuorumProcessor:
         self.phase: Optional[Phase] = None
         self._nonce_counter = 0
         self.op_id: Optional[str] = None
+        self.pending_value: Optional[str] = None
         self._peers = [d for d in range(params.n) if d != pid]
-        # one (kind, #request destinations, #responses) entry per finished
-        # phase, appended and never reset; the simulator reads it for metrics
-        self.phase_log: list[tuple[str, int, int]] = []
+
+    # -- operations ----------------------------------------------------
+
+    def start_write(self, value: str, op_id: str) -> None:
+        self._invoke("write_invoke", op_id, value)
+
+    def start_read(self, op_id: str) -> None:
+        self._invoke("read_invoke", op_id)
+
+    def on_quorum_read_done(self) -> None:
+        ph = self.phase
+        responses = [ph.responses[pid] for pid in sorted(ph.responses)]
+        self._finish_phase()
+        payload = self.choose(responses)
+        if payload is None:
+            self._respond("read_response", ABORT)
+            return
+        # open the write phase, applying it locally as one's own ack
+        self._begin_phase(QW_REQ, payload)
+        self.apply_quorum_write(payload)
+        self.phase.responses[self.pid] = True
+
+    def on_quorum_write_done(self) -> None:
+        ts, value = self.phase.payload
+        self._finish_phase()
+        if self.pid == WRITER_ID:
+            self._respond("write_response")
+        else:
+            self.adopt(ts, value)
+            self._respond("read_response", value)
 
     # -- phase helpers -------------------------------------------------
 
@@ -136,13 +173,15 @@ class QuorumProcessor:
 
     def _finish_phase(self) -> None:
         ph = self.phase
-        self.phase_log.append((ph.kind, len(ph.distinct_requests), len(ph.responses)))
         self.phase = None
+        self.recorder(self.pid, "phase_done", ph.kind,
+                      (len(ph.distinct_requests), len(ph.responses)))
 
     def _invoke(self, kind: str, op_id: str, value: Optional[str] = None) -> None:
         """Record an operation's invocation and open its quorum read phase."""
         assert self.idle, "one operation at a time per processor"
         self.op_id = op_id
+        self.pending_value = value
         self.recorder(self.pid, kind, op_id, value)
         self._begin_phase(QR_REQ)
         self.phase.responses[self.pid] = self.snapshot()
@@ -151,12 +190,6 @@ class QuorumProcessor:
         """Record the response that completes the current operation."""
         self.recorder(self.pid, kind, self.op_id, value)
         self.op_id = None
-
-    def _begin_write_phase(self, payload) -> None:
-        """Open a quorum write phase, applying it locally as one's own ack."""
-        self._begin_phase(QW_REQ, payload=payload)
-        self.apply_quorum_write(payload)
-        self.phase.responses[self.pid] = True
 
     def next_send(self) -> Optional[Message]:
         """Next request retransmission for the in-flight phase, if any."""
@@ -206,10 +239,13 @@ class QuorumProcessor:
     def apply_quorum_write(self, payload) -> None:
         raise NotImplementedError
 
-    def on_quorum_read_done(self) -> None:
+    def choose(self, responses: list):
+        """The write phase's (ts, value) payload from the read phase's
+        responses in pid order, or None to abort a read."""
         raise NotImplementedError
 
-    def on_quorum_write_done(self) -> None:
+    def adopt(self, ts, value) -> None:
+        """A reader's update once its write-back is on a quorum."""
         raise NotImplementedError
 
 
@@ -228,11 +264,6 @@ class BoundedWriter(QuorumProcessor):
         self.value = INITIAL_VALUE
         self.epochs = EpochsQueue(params.queue_capacity)
         self.epoch_changes = 0
-        self.pending_value: Optional[str] = None
-
-    def start_write(self, value: str, op_id: str) -> None:
-        self.pending_value = value
-        self._invoke("write_invoke", op_id, value)
 
     def snapshot(self):
         # the writer keeps no canceling evidence: its cl slot is always bottom
@@ -243,9 +274,7 @@ class BoundedWriter(QuorumProcessor):
         if ts != self.ml:
             self.epochs.enqueue(ts.epoch)
 
-    def on_quorum_read_done(self) -> None:
-        responses = [self.phase.responses[pid] for pid in sorted(self.phase.responses)]
-        self._finish_phase()
+    def choose(self, responses):
         for ml_i, cl_i, _v in responses:
             if ml_i != self.ml:
                 self.epochs.enqueue(ml_i.epoch)
@@ -264,12 +293,7 @@ class BoundedWriter(QuorumProcessor):
         if self.ml.epoch != old_epoch:
             self.epoch_changes += 1
         self.value = self.pending_value
-        self._begin_write_phase((self.ml, self.value))  # own member rule: no-op
-
-    def on_quorum_write_done(self) -> None:
-        self._finish_phase()
-        self.pending_value = None
-        self._respond("write_response")
+        return (self.ml, self.value)  # own member rule: no-op
 
 
 class BoundedReader(QuorumProcessor):
@@ -281,9 +305,6 @@ class BoundedReader(QuorumProcessor):
         self.ml: Timestamp = params.initial_timestamp()
         self.cl: MaybeTimestamp = None
         self.value = INITIAL_VALUE
-
-    def start_read(self, op_id: str) -> None:
-        self._invoke("read_invoke", op_id)
 
     def snapshot(self):
         return (self.ml, self.cl, self.value)
@@ -297,25 +318,16 @@ class BoundedReader(QuorumProcessor):
         elif not precedes_b(ts.epoch, self.ml.epoch):
             self.cl = ts
 
-    def on_quorum_read_done(self) -> None:
-        candidates = [self.phase.responses[pid] for pid in sorted(self.phase.responses)]
-        self._finish_phase()
-        chosen = None
-        for ml_m, cl_m, v_m in candidates:
+    def choose(self, responses):
+        for ml_m, cl_m, v_m in responses:
             if all(
                 dominates(ml_m, ml_i) and (cl_i is None or dominates(ml_m, cl_i))
-                for ml_i, cl_i, _v in candidates
+                for ml_i, cl_i, _v in responses
             ):
-                chosen = (ml_m, v_m)
-                break
-        if chosen is None:
-            self._respond("read_response", ABORT)
-            return
-        self._begin_write_phase(chosen)
+                return (ml_m, v_m)
+        return None
 
-    def on_quorum_write_done(self) -> None:
-        ts, value = self.phase.payload
-        self._finish_phase()
+    def adopt(self, ts, value) -> None:
         # adopt the write-back unless a newer timestamp arrived meanwhile;
         # unconditional assignment would downgrade the replica and break
         # quorum intersection for later reads
@@ -323,7 +335,6 @@ class BoundedReader(QuorumProcessor):
             self.ml = ts
             self.cl = None
             self.value = value
-        self._respond("read_response", value)
 
 
 # ---------------------------------------------------------------------------
@@ -352,36 +363,16 @@ class OracleProcessor(QuorumProcessor):
 class OracleWriter(OracleProcessor):
     def __init__(self, params: ProtocolParams, recorder: Recorder):
         super().__init__(WRITER_ID, params, recorder)
-        self.pending_value: Optional[str] = None
 
-    def start_write(self, value: str, op_id: str) -> None:
-        self.pending_value = value
-        self._invoke("write_invoke", op_id, value)
-
-    def on_quorum_read_done(self) -> None:
-        observed = [s for s, _v in self.phase.responses.values()]
-        self._finish_phase()
-        self.max_seq = max(observed + [self.max_seq]) + 1
+    def choose(self, responses):
+        self.max_seq = max([s for s, _v in responses] + [self.max_seq]) + 1
         self.value = self.pending_value
-        self._begin_write_phase((self.max_seq, self.value))  # local apply: no-op
-
-    def on_quorum_write_done(self) -> None:
-        self._finish_phase()
-        self.pending_value = None
-        self._respond("write_response")
+        return (self.max_seq, self.value)  # local apply: no-op
 
 
 class OracleReader(OracleProcessor):
-    def start_read(self, op_id: str) -> None:
-        self._invoke("read_invoke", op_id)
+    def choose(self, responses):
+        return max(responses, key=lambda sv: sv[0])
 
-    def on_quorum_read_done(self) -> None:
-        candidates = [self.phase.responses[pid] for pid in sorted(self.phase.responses)]
-        self._finish_phase()
-        self._begin_write_phase(max(candidates, key=lambda sv: sv[0]))
-
-    def on_quorum_write_done(self) -> None:
-        writeback = self.phase.payload
-        self._finish_phase()
-        self.apply_quorum_write(writeback)
-        self._respond("read_response", writeback[1])
+    def adopt(self, seq, value) -> None:
+        self.apply_quorum_write((seq, value))

@@ -54,6 +54,8 @@ class ScenarioConfig:
             raise ScenarioError("r must be >= 1")
         if self.steps < 1 or self.writes < 0:
             raise ScenarioError("steps must be >= 1 and writes >= 0")
+        if self.k_override < 0 or self.k_override == 1:
+            raise ScenarioError("k_override must be 0 (derived from n and c) or >= 2")
         if not 0.0 <= self.loss_prob < 1.0:
             raise ScenarioError("loss_prob must be in [0, 1) to preserve fairness")
         if self.corruption not in CORRUPTION_MODES:
@@ -169,12 +171,10 @@ class Simulation:
         self.crashed: set[int] = set()
         # latest first, so the next crash due is popped off the end
         self._pending_crashes = sorted(config.crashes, reverse=True)
-        self.audit = audit
         # messages planted or sent since the last audit, plus those still in
         # a link, by id; holding each message keeps a forgery from taking
         # its id
         self._audit_sent: dict[int, Message] = {}
-        self.pid_history: list[int] = []  # populated only under audit
 
         n = config.n
         self.links: dict[tuple[int, int], list[Message]] = {
@@ -190,9 +190,13 @@ class Simulation:
 
         self.procs = self._build_processors()
         adversary.corrupt(self)
+        self.potential = Potential(self) if config.protocol == "oracle" else None
+        # called as check(pid, msg) after every step, msg being the message
+        # sent in that step or None
+        self.checks = [self.potential.check] if self.potential is not None else []
         if audit:
-            for box in self.links.values():
-                self._audit_sent.update((id(m), m) for m in box)
+            self._audit_sent.update((id(m), m) for box in self.links.values() for m in box)
+            self.checks.append(self._check_audit)
 
         self.writes_done = 0
         self._write_counter = 0
@@ -203,12 +207,20 @@ class Simulation:
         self.reads_done = 0
         self.message_sends = 0
         self.dropped_messages = 0
-        self.potential = Potential(self) if config.protocol == "oracle" else None
+        self.completed_phases = 0
+        self.max_phase_requests = 0
+        self.max_phase_responses = 0
 
     # -- construction --------------------------------------------------
 
     def _record(self, pid: int, kind: str, op_id: str, value):
-        """Append one trace event and count the operation it completes."""
+        """Append one trace event and count the operation it completes, or
+        fold a finished phase into the phase metrics."""
+        if kind == "phase_done":
+            self.completed_phases += 1
+            self.max_phase_requests = max(self.max_phase_requests, value[0])
+            self.max_phase_responses = max(self.max_phase_responses, value[1])
+            return
         event = {"step": self.step_count, "proc": pid, "event": kind, "op_id": op_id}
         if kind == "write_response":
             self.writes_done += 1
@@ -276,12 +288,9 @@ class Simulation:
         random_, getrandbits = self.rng.random, self.rng.getrandbits
         procs, outboxes, inbound = self.procs, self.outboxes, self._inbound
         toggle, schedule = self._send_toggle, self._schedule
-        pending, crashed, audit = self._pending_crashes, self.crashed, self.audit
+        pending, crashed, checks = self._pending_crashes, self.crashed, self.checks
         sends, drops = self.message_sends, self.dropped_messages
         step_count = self.step_count
-        checks = [self.potential.check] if self.potential is not None else []
-        if audit:
-            checks.append(self._check_audit)
         while step_count < steps:
             step_count += 1
             self.step_count = step_count
@@ -296,8 +305,6 @@ class Simulation:
                     j = _below(getrandbits, i + 1)
                     schedule[i], schedule[j] = schedule[j], schedule[i]
             pid = schedule.pop()
-            if audit:
-                self.pid_history.append(pid)
             proc = procs[pid]
             if proc.phase is None:
                 self._poll_client(pid, proc)
@@ -310,8 +317,6 @@ class Simulation:
                     msg = outbox.pop(0) if outbox else proc.next_send()
             if msg is not None:
                 sends += 1
-                if audit:
-                    self._audit_sent[id(msg)] = msg
                 if random_() < loss_prob:
                     drops += 1
                 else:
@@ -334,7 +339,7 @@ class Simulation:
                     outbox.extend(proc.on_message(box.pop(_below(getrandbits, len(box)))))
 
             for check in checks:
-                check()
+                check(pid, msg)
             if self.writes_done >= writes and all(
                 p.idle for i, p in enumerate(procs) if i not in crashed
             ):
@@ -342,7 +347,9 @@ class Simulation:
         self.message_sends, self.dropped_messages = sends, drops
         return self.metrics()
 
-    def _check_audit(self):
+    def _check_audit(self, _pid: int, msg) -> None:
+        if msg is not None:
+            self._audit_sent[id(msg)] = msg
         in_links = {}
         for (i, j), box in self.links.items():
             assert len(box) <= self.config.c, f"capacity violated on link {(i, j)}"
@@ -353,12 +360,6 @@ class Simulation:
         self._audit_sent = in_links
 
     def metrics(self) -> dict:
-        phase_reqs = []
-        phase_resps = []
-        for proc in self.procs:
-            for _kind, reqs, resps in proc.phase_log:
-                phase_reqs.append(reqs)
-                phase_resps.append(resps)
         writer, potential = self.procs[WRITER_ID], self.potential
         return {
             "steps": self.step_count,
@@ -368,9 +369,9 @@ class Simulation:
             "message_sends": self.message_sends,
             "dropped_messages": self.dropped_messages,
             "epoch_changes": getattr(writer, "epoch_changes", 0),
-            "max_phase_requests": max(phase_reqs, default=0),
-            "max_phase_responses": max(phase_resps, default=0),
-            "completed_phases": len(phase_reqs),
+            "max_phase_requests": self.max_phase_requests,
+            "max_phase_responses": self.max_phase_responses,
+            "completed_phases": self.completed_phases,
             "g_violations": potential.violations if potential else [],
             "g_strict_violations": potential.strict_violations if potential else [],
             "crashed": sorted(self.crashed),
@@ -394,7 +395,7 @@ class Potential:
         self.violations: list[int] = []
         self.strict_violations: list[int] = []
         self.observations = 0
-        self._phases = len(self.writer.phase_log)
+        self._phase = self.writer.phase
         self._seq = self.writer.max_seq
         self._g = self.measure()
 
@@ -418,18 +419,21 @@ class Potential:
         top = self.writer.max_seq
         return sum(1 for seq in seqs if seq > top)
 
-    def check(self) -> None:
+    def check(self, _pid: int, _msg) -> None:
         g = self.measure()
-        writer, step = self.writer, self.sim.step_count
+        writer, step, phase = self.writer, self.sim.step_count, self.writer.phase
         if g > self._g:
             self.violations.append(step)
-        if len(writer.phase_log) > self._phases:
-            self._phases = len(writer.phase_log)
-            # a read phase that saw max m moves the writer to max(m, own) + 1
-            if writer.phase_log[-1][0] == QR_REQ and writer.max_seq > self._seq + 1:
-                self.observations += 1
-                if g >= self._g:
-                    self.strict_violations.append(step)
+        # the writer opens its write phase in the call that ends its read
+        # phase, so a write phase new since the last step means a read phase
+        # ended in this one; that phase saw some max m and moved the writer
+        # to max(m, own) + 1
+        if (phase is not self._phase and phase is not None and phase.kind == QW_REQ
+                and writer.max_seq > self._seq + 1):
+            self.observations += 1
+            if g >= self._g:
+                self.strict_violations.append(step)
+        self._phase = phase
         self._seq = writer.max_seq
         self._g = g
 

@@ -68,6 +68,16 @@ def test_run_invalid_config(tmp_path, capsys):
     assert "invalid scenario" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("k", ["1", "-3"])
+def test_run_rejects_unusable_k_override(tmp_path, capsys, k):
+    bad = tmp_path / "k.cfg"
+    bad.write_text(CLEAN + f"k_override = {k}\n")
+    rc = main(["run", "--config", str(bad), "--out", str(tmp_path)])
+    assert rc == 2
+    assert "k_override" in capsys.readouterr().err
+    assert not list(tmp_path.glob("trace-*"))
+
+
 @pytest.mark.parametrize("mode", ["near-wrap", "hidden-epoch"])
 def test_run_rejects_label_corruption_under_oracle(tmp_path, capsys, mode):
     bad = tmp_path / "oracle.cfg"

@@ -27,7 +27,7 @@ def test_finder_step_banks_inputs():
     queue = EpochsQueue(4)
     prev = random_label(rng, params)
     witness = random_label(rng, params)
-    label, queue = finder_step(queue, prev, witness, params)
+    label = finder_step(queue, prev, witness, params)
     assert prev in queue and witness in queue
     assert precedes_b(prev, label)
     assert precedes_b(witness, label)
@@ -35,7 +35,8 @@ def test_finder_step_banks_inputs():
 
 def test_finder_step_first_round_empty_queue():
     params = LabelParams(4)
-    label, queue = finder_step(EpochsQueue(4), None, None, params)
+    queue = EpochsQueue(4)
+    label = finder_step(queue, None, None, params)
     assert len(queue) == 0
     label.validate(params)
 

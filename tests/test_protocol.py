@@ -11,6 +11,7 @@ from stabreg.protocol import (
     OracleReader,
     OracleWriter,
     ProtocolParams,
+    QR_REQ,
     QR_RESP,
     QW_REQ,
     WRITER_ID,
@@ -206,14 +207,16 @@ def test_writer_as_member_banks_foreign_epoch():
     assert len(replies) == 1 and replies[0].kind == "QW_ACK"
 
 
-def test_phase_log_counts_requests_and_responses():
-    params, procs, _ = make_system(n=5)
+def test_write_reports_its_two_phases():
+    params, procs, events = make_system(n=5)
     procs[0].start_write("v#1", "w1")
     pump(procs)
-    assert len(procs[0].phase_log) == 2
-    for kind, reqs, resps in procs[0].phase_log:
-        assert reqs <= 2 * params.n
-        assert resps <= 2 * params.n
+    phases = [(pid, kind, counts) for pid, event, kind, counts in events
+              if event == "phase_done"]
+    assert [(pid, kind) for pid, kind, _c in phases] == [(0, QR_REQ), (0, QW_REQ)]
+    for _pid, _kind, (requests, responses) in phases:
+        assert responses == params.quorum
+        assert 1 <= requests <= params.n - 1
 
 
 def test_oracle_write_read_cycle():

@@ -70,6 +70,8 @@ crashes = 2@100, 4@250
     (BASE + "protocol = paxos\n", "protocol"),
     (BASE + "protocol = oracle\ncorruption = near-wrap\n", "no oracle meaning"),
     (BASE + "protocol = oracle\ncorruption = hidden-epoch\n", "no oracle meaning"),
+    (BASE + "k_override = 1\n", "k_override"),
+    (BASE + "k_override = -4\n", "k_override"),
     ("n oops\n", "key = value"),
 ])
 def test_parse_scenario_rejects(text, fragment):
@@ -152,7 +154,7 @@ def test_unsorted_crash_schedule_gives_the_same_trace():
 def test_audit_catches_a_message_planted_mid_run():
     sim = Simulation(small_config(steps=300), audit=True)
     sim.run()
-    sim._check_audit()
+    sim._check_audit(0, None)
     box = next(box for box in sim.links.values() if box)
     consumed = box.pop()
     fields = (consumed.kind, consumed.nonce, consumed.sender, consumed.dest,
@@ -162,7 +164,18 @@ def test_audit_catches_a_message_planted_mid_run():
     # give the forgery its freed address, and so its id
     box.append(Message(*fields))
     with pytest.raises(AssertionError, match="fabricated message"):
-        sim._check_audit()
+        sim._check_audit(0, None)
+
+
+def test_checks_run_after_every_step():
+    sim = Simulation(small_config(writes=10, loss_prob=0.1, protocol="oracle"),
+                     audit=True)
+    assert sim.checks == [sim.potential.check, sim._check_audit]
+    sent = []
+    sim.checks.append(lambda pid, msg: sent.append(msg))
+    metrics = sim.run()
+    assert len(sent) == metrics["steps"]
+    assert sum(msg is not None for msg in sent) == metrics["message_sends"]
 
 
 def test_below_draws_as_randrange():
@@ -203,15 +216,21 @@ def test_tight_links_overflow():
 
 
 def test_fairness_window_covers_all_alive():
-    config = small_config(writes=10)
-    sim = Simulation(config, audit=True)
-    sim.run()
-    history = sim.pid_history
-    window = 2 * config.n
-    assert len(history) > window
-    everyone = set(range(config.n))
-    for start in range(len(history) - window):
-        assert set(history[start:start + window]) == everyone
+    for crashes in ([], [(400, 2), (900, 4)]):
+        config = small_config(writes=10, crashes=crashes)
+        sim = Simulation(config)
+        history = []
+        sim.checks.append(lambda pid, _msg: history.append(pid))
+        sim.run()
+        window = 2 * config.n
+        # the step of the last crash is history[last - 1]
+        last = max((step for step, _pid in crashes), default=1)
+        assert len(history) > last + 10 * window
+        for step, pid in crashes:
+            assert pid not in history[step - 1:], (step, pid)
+        alive = set(range(config.n)) - {pid for _step, pid in crashes}
+        for start in range(last - 1, len(history) - window):
+            assert set(history[start:start + window]) == alive, (crashes, start)
 
 
 @pytest.mark.parametrize("mode", ["random", "near-wrap", "hidden-epoch"])
@@ -280,9 +299,13 @@ def test_potential_catches_a_flat_potential(monkeypatch):
 
 def test_phase_message_bound():
     _, metrics = run_scenario(small_config(), audit=True)
-    assert metrics["max_phase_requests"] <= 2 * 5
-    assert metrics["max_phase_responses"] <= 2 * 5
-    assert metrics["completed_phases"] > 0
+    # a phase ends on the quorum-th response, and asks only its n - 1 peers
+    assert metrics["max_phase_responses"] == 3
+    assert 1 <= metrics["max_phase_requests"] <= 4
+    # two phases per operation, one for an aborted read
+    assert metrics["completed_phases"] == 2 * (
+        metrics["writes_completed"] + metrics["reads_completed"]
+    ) + metrics["reads_aborted"]
 
 
 def test_random_corruption_run_stays_small():
