@@ -85,8 +85,8 @@ def cmd_check(args) -> int:
 
 
 def cmd_game(args) -> int:
-    if args.m < 1:
-        print("error: m must be >= 1", file=sys.stderr)
+    if args.m < 1 or args.seeds < 1:
+        print("error: --m and --seeds must be >= 1", file=sys.stderr)
         return 2
     if args.strategy not in STRATEGIES:
         known = ", ".join(sorted(STRATEGIES))
@@ -168,7 +168,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_game.add_argument("--seeds", type=int, default=100, help="number of games")
     p_game.add_argument("--seed-start", type=int, default=0)
     p_game.add_argument("--queue-capacity", type=int,
-                        help="finder queue capacity override (default 2m)")
+                        help="finder queue capacity override, 1..2m (default 2m)")
     p_game.add_argument("--transcript", action="store_true",
                         help="emit per-round JSON lines")
     p_game.set_defaults(func=cmd_game)

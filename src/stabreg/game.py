@@ -45,10 +45,7 @@ class GameResult:
 
 
 def finder_step(
-    queue: EpochsQueue,
-    prev_label: Optional[Label],
-    response: Optional[Label],
-    params: LabelParams,
+    queue: EpochsQueue, prev_label: Optional[Label], response: Optional[Label]
 ) -> Label:
     """One finder move: bank the previous proposal and the hider's witness,
     then propose a label above everything remembered."""
@@ -56,7 +53,7 @@ def finder_step(
         queue.enqueue(prev_label)
     if response is not None:
         queue.enqueue(response)
-    return queue.next_label(params)
+    return queue.next_label()
 
 
 class HiderStrategy:
@@ -165,51 +162,48 @@ def play(
 ) -> GameResult:
     """Run one game; the finder wins at the first round the hider stays silent.
 
-    ``queue_capacity`` below 2m deliberately cripples the finder (negative
-    control).  The finder's queue starts corrupted with arbitrary labels.
+    ``queue_capacity`` (1..k, default 2m) below 2m deliberately cripples the
+    finder (negative control).  The finder's queue starts corrupted with
+    arbitrary labels.
     """
     if m < 1:
         raise GameError("m must be >= 1")
-    if queue_capacity is not None and queue_capacity < 1:
-        raise GameError("queue capacity must be >= 1")
     if params is None:
         params = LabelParams(2 * m)
+    capacity = queue_capacity if queue_capacity is not None else 2 * m
+    if not 1 <= capacity <= params.k:
+        raise GameError(f"queue capacity must be in 1..{params.k}, got {capacity}")
     if max_rounds is None:
         max_rounds = 4 * (m + 1)
     rng = random.Random(seed)
-    capacity = queue_capacity if queue_capacity is not None else 2 * m
-    queue = EpochsQueue(capacity)
+    queue = EpochsQueue(capacity, params)
     for _ in range(rng.randint(0, capacity)):
         queue.enqueue(random_label(rng, params))
 
     transcript: list[RoundRecord] = []
-    finder_labels: list[Label] = []
-    exposed_labels: list[Label] = []
     prev: Optional[Label] = None
     response: Optional[Label] = None
     for rnd in range(1, max_rounds + 1):
-        label = finder_step(queue, prev, response, params)
-        if check_queue_front and len(finder_labels) == len(exposed_labels):
-            _assert_queue_front(queue, finder_labels, exposed_labels)
-        finder_labels.append(label)
+        label = finder_step(queue, prev, response)
+        if check_queue_front:
+            _assert_queue_front(queue, transcript)
         response = hider.respond(label)
         if response is not None and precedes_b(response, label):
             raise GameError("hider exposed a dominated label")
         transcript.append(RoundRecord(rnd, label, response))
         if response is None:
             return GameResult(True, rnd, rnd, transcript)
-        exposed_labels.append(response)
         prev = label
     return GameResult(False, None, max_rounds, transcript)
 
 
-def _assert_queue_front(queue, finder_labels, exposed_labels):
+def _assert_queue_front(queue, transcript):
     # After i full rounds the queue front holds exactly the i proposals and
     # i witnesses seen so far (the proof-sketch induction).
-    i = len(finder_labels)
+    i = len(transcript)
     if 2 * i > queue.capacity:
         return
     front = set(queue.entries[: 2 * i])
-    expected = set(finder_labels) | set(exposed_labels)
+    expected = {r.finder_label for r in transcript} | {r.response for r in transcript}
     if len(expected) == 2 * i and front != expected:
         raise GameError(f"queue front invariant broken at round {i}")

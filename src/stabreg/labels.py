@@ -7,9 +7,9 @@ in b's antistings while b's sting avoids a's antistings.  Given any
 collection of at most k labels, even mutually incomparable ones that no
 generator ever produced, ``next_label`` builds a label strictly above all of
 them.  Its sting is the lowest element outside every input antisting set:
-``next_label`` finds it in any list by taking the union window by window,
-and ``next_label_covered`` in a union that the caller (``EpochsQueue``)
-keeps up to date.
+``next_label`` checks and searches any list, taking the union window by
+window, and ``next_label_covered`` searches a union that the caller
+(``EpochsQueue``) keeps up to date over labels it checked on entry.
 """
 
 from __future__ import annotations
@@ -47,14 +47,21 @@ class Label:
     antistings: tuple[int, ...]
 
     def validate(self, params: LabelParams) -> None:
-        K = params.universe_size
+        check_shape(self, params)
         anti = self.antistings
-        if len(anti) != params.k:
-            raise LabelError(f"antisting set has {len(anti)} elements, need {params.k}")
         if any(a >= b for a, b in zip(anti, anti[1:])):
             raise LabelError("antistings must be sorted and distinct")
-        if not (1 <= self.sting <= K and 1 <= anti[0] and anti[-1] <= K):
-            raise LabelError(f"sting or antisting outside universe 1..{K}")
+
+
+def check_shape(label: Label, params: LabelParams) -> None:
+    """Raise LabelError unless ``label`` has k antistings and its sting and
+    antistings lie in 1..K.  Antistings are sorted, so this is O(1) and
+    catches any label built for another k; ``Label.validate`` adds the order."""
+    K, anti = params.universe_size, label.antistings
+    if len(anti) != params.k:
+        raise LabelError(f"antisting set has {len(anti)} elements, need {params.k}")
+    if not (1 <= label.sting <= K and 1 <= anti[0] and anti[-1] <= K):
+        raise LabelError(f"sting or antisting outside universe 1..{K}")
 
 
 def make_label(sting: int, antistings: Iterable[int]) -> Label:
@@ -85,12 +92,15 @@ def next_label(labels: Iterable[Label], params: LabelParams) -> Label:
     input sets alone: k sets of k elements leave one of the k*k + 1 free.
     """
     labels = list(labels)
+    for lab in labels:
+        check_shape(lab, params)
     return _next_label(labels, params, _free_elements(labels, params.universe_size))
 
 
 def next_label_covered(labels: list[Label], covered: bytearray, params: LabelParams) -> Label:
-    """``next_label(labels, params)``, where ``covered[x]`` is nonzero exactly
-    when some label holds antisting x (elements past its end: none does)."""
+    """``next_label(labels, params)`` for labels whose shape the caller has
+    checked, where ``covered[x]`` is nonzero exactly when some label holds
+    antisting x (elements past its end: none does)."""
     return _next_label(labels, params, _uncovered(covered))
 
 
@@ -100,11 +110,6 @@ def _next_label(labels: Sequence[Label], params: LabelParams, free: Iterator[int
     k, K = params.k, params.universe_size
     if len(labels) > k:
         raise LabelError(f"next_label takes at most k={k} labels, got {len(labels)}")
-    for lab in labels:
-        # length/range checks suffice to catch labels built for a different k
-        anti = lab.antistings
-        if len(anti) != k or not 1 <= lab.sting <= K or anti[0] < 1 or anti[-1] > K:
-            raise LabelError(f"label {lab} invalid for k={k}")
     if not labels:
         return Label(1, tuple(range(1, k + 1)))
 

@@ -80,10 +80,6 @@ class ProtocolParams:
         return self.k_override if self.k_override else 2 * self.hidden_epoch_bound
 
     @property
-    def queue_capacity(self) -> int:
-        return self.k
-
-    @property
     def label_params(self) -> LabelParams:
         return LabelParams(self.k)
 
@@ -262,7 +258,7 @@ class BoundedWriter(QuorumProcessor):
         super().__init__(WRITER_ID, params, recorder)
         self.ml: Timestamp = params.initial_timestamp()
         self.value = INITIAL_VALUE
-        self.epochs = EpochsQueue(params.queue_capacity)
+        self.epochs = EpochsQueue(params.k, params.label_params)
         self.epoch_changes = 0
 
     def snapshot(self):
@@ -285,11 +281,10 @@ class BoundedWriter(QuorumProcessor):
             dominates(self.ml, ml_i) and dominates(self.ml, cl_i)
             for ml_i, cl_i, _v in responses
         ):
-            self.ml = next_timestamp(self.ml, self.epochs, self.params.r,
-                                     self.params.label_params)
+            self.ml = next_timestamp(self.ml, self.epochs, self.params.r)
         else:
             self.epochs.enqueue(self.ml.epoch)
-            self.ml = Timestamp(self.epochs.next_label(self.params.label_params), 0)
+            self.ml = Timestamp(self.epochs.next_label(), 0)
         if self.ml.epoch != old_epoch:
             self.epoch_changes += 1
         self.value = self.pending_value

@@ -56,6 +56,10 @@ class ScenarioConfig:
             raise ScenarioError("steps must be >= 1 and writes >= 0")
         if self.k_override < 0 or self.k_override == 1:
             raise ScenarioError("k_override must be 0 (derived from n and c) or >= 2")
+        if self.read_backoff < 0:
+            raise ScenarioError("read_backoff must be >= 0")
+        if self.read_retry_cap < 1:
+            raise ScenarioError("read_retry_cap must be >= 1")
         if not 0.0 <= self.loss_prob < 1.0:
             raise ScenarioError("loss_prob must be in [0, 1) to preserve fairness")
         if self.corruption not in CORRUPTION_MODES:

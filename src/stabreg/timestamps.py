@@ -13,7 +13,7 @@ from array import array
 from dataclasses import dataclass
 from typing import Optional
 
-from .labels import (Label, LabelError, LabelParams, format_label, next_label_covered,
+from .labels import (Label, LabelParams, check_shape, format_label, next_label_covered,
                      parse_label, precedes_b)
 
 
@@ -51,16 +51,20 @@ class EpochsQueue:
     """Bounded move-to-front queue of distinct labels, newest first.
 
     Re-enqueueing a present label moves it to the head without growing the
-    queue; at capacity the oldest label is evicted.  For ``next_label`` the
-    queue keeps the union of its antistings: ``covered[x]`` is 1 while some
-    label holds x, and ``_counts[x]`` counts them.  Both change only when a
-    label enters or leaves, up to the largest antisting ever held.
+    queue; at capacity the oldest label is evicted.  The labels belong to the
+    universe of ``params``: a label's shape is checked once, when it enters
+    (a bad one raises LabelError and leaves the queue unchanged).  For
+    ``next_label`` the queue keeps the union of its antistings: ``covered[x]``
+    is 1 while some label holds x, and ``_counts[x]`` counts them.  Both
+    change only when a label enters or leaves, up to the largest antisting
+    ever held.
     """
 
-    def __init__(self, capacity: int):
+    def __init__(self, capacity: int, params: LabelParams):
         if capacity < 1:
             raise ValueError("queue capacity must be positive")
         self.capacity = capacity
+        self.params = params
         # Insertion-ordered dict used as a set: last key = newest.
         self._entries: dict[Label, None] = {}
         self._counts = array("I")
@@ -71,9 +75,8 @@ class EpochsQueue:
         if entries.pop(label, _MISSING) is not _MISSING:  # a move to the front
             entries[label] = None
             return
+        check_shape(label, self.params)
         anti = label.antistings
-        if not anti or anti[0] < 1:  # sorted: anti[0] is the least
-            raise LabelError(f"antistings {anti} are not a set of positive ints")
         counts, covered = self._counts, self.covered
         grow = anti[-1] + 1 - len(covered)
         if grow > 0:
@@ -91,9 +94,9 @@ class EpochsQueue:
                     covered[a] = 0
         entries[label] = None
 
-    def next_label(self, params: LabelParams) -> Label:
-        """``labels.next_label(self.entries, params)``, read off the union."""
-        return next_label_covered(list(self._entries), self.covered, params)
+    def next_label(self) -> Label:
+        """``labels.next_label(self.entries, self.params)``, read off the union."""
+        return next_label_covered(list(self._entries), self.covered, self.params)
 
     @property
     def entries(self) -> list[Label]:
@@ -107,9 +110,7 @@ class EpochsQueue:
         return label in self._entries
 
 
-def next_timestamp(
-    current: Timestamp, queue: EpochsQueue, seq_bound: int, params: LabelParams
-) -> Timestamp:
+def next_timestamp(current: Timestamp, queue: EpochsQueue, seq_bound: int) -> Timestamp:
     """Successor of ``current``: bump the sequence number, or open a new epoch.
 
     When the sequence number is exhausted the current epoch joins the queue
@@ -119,7 +120,7 @@ def next_timestamp(
     if current.seq < seq_bound:
         return Timestamp(current.epoch, current.seq + 1)
     queue.enqueue(current.epoch)
-    return Timestamp(queue.next_label(params), 0)
+    return Timestamp(queue.next_label(), 0)
 
 
 def format_timestamp(ts: MaybeTimestamp) -> str:

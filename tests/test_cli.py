@@ -78,6 +78,17 @@ def test_run_rejects_unusable_k_override(tmp_path, capsys, k):
     assert not list(tmp_path.glob("trace-*"))
 
 
+@pytest.mark.parametrize("line,key", [("read_backoff = -7", "read_backoff"),
+                                      ("read_retry_cap = -2", "read_retry_cap")])
+def test_run_rejects_bad_read_retry_settings(tmp_path, capsys, line, key):
+    bad = tmp_path / "retry.cfg"
+    bad.write_text(CLEAN + line + "\n")
+    rc = main(["run", "--config", str(bad), "--out", str(tmp_path)])
+    assert rc == 2
+    assert key in capsys.readouterr().err
+    assert not list(tmp_path.glob("trace-*"))
+
+
 @pytest.mark.parametrize("mode", ["near-wrap", "hidden-epoch"])
 def test_run_rejects_label_corruption_under_oracle(tmp_path, capsys, mode):
     bad = tmp_path / "oracle.cfg"
@@ -257,6 +268,19 @@ def test_game_rejects_unknown_strategy(capsys):
 def test_game_rejects_empty_queue(capsys):
     assert main(["game", "--m", "2", "--queue-capacity", "0"]) == 2
     assert "error: queue capacity" in capsys.readouterr().err
+
+
+def test_game_rejects_queue_larger_than_2m(capsys):
+    assert main(["game", "--m", "2", "--queue-capacity", "10"]) == 2
+    assert "error: queue capacity must be in 1..4" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("seeds", ["0", "-3"])
+def test_game_rejects_seeds_below_one(capsys, seeds):
+    assert main(["game", "--m", "2", "--seeds", seeds]) == 2
+    captured = capsys.readouterr()
+    assert "--seeds must be >= 1" in captured.err
+    assert "games:" not in captured.out
 
 
 def test_labels_compare(capsys):

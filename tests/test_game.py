@@ -24,10 +24,10 @@ def test_strategy_registry():
 def test_finder_step_banks_inputs():
     params = LabelParams(4)
     rng = random.Random(3)
-    queue = EpochsQueue(4)
+    queue = EpochsQueue(4, params)
     prev = random_label(rng, params)
     witness = random_label(rng, params)
-    label = finder_step(queue, prev, witness, params)
+    label = finder_step(queue, prev, witness)
     assert prev in queue and witness in queue
     assert precedes_b(prev, label)
     assert precedes_b(witness, label)
@@ -35,8 +35,8 @@ def test_finder_step_banks_inputs():
 
 def test_finder_step_first_round_empty_queue():
     params = LabelParams(4)
-    queue = EpochsQueue(4)
-    label = finder_step(queue, None, None, params)
+    queue = EpochsQueue(4, params)
+    label = finder_step(queue, None, None)
     assert len(queue) == 0
     label.validate(params)
 

@@ -52,11 +52,17 @@ def test_derived_parameters():
     params = ProtocolParams(5, c=3, r=64)
     assert params.hidden_epoch_bound == 2 * 5 + 4 * 3 * 5 * 4
     assert params.k == 2 * params.hidden_epoch_bound
-    assert params.queue_capacity == params.k
     assert params.quorum == 3
     init = params.initial_timestamp()
     assert init.seq == 0
     assert init.epoch == make_label(1, set(range(1, params.k + 1)))
+
+
+def test_writer_queue_holds_k_labels_of_its_universe():
+    params = ProtocolParams(5, c=3, r=64)
+    writer = BoundedWriter(params, lambda *event: None)
+    assert writer.epochs.capacity == params.k
+    assert writer.epochs.params == params.label_params
 
 
 def test_params_validation():

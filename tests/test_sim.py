@@ -72,6 +72,14 @@ crashes = 2@100, 4@250
     (BASE + "protocol = oracle\ncorruption = hidden-epoch\n", "no oracle meaning"),
     (BASE + "k_override = 1\n", "k_override"),
     (BASE + "k_override = -4\n", "k_override"),
+    (BASE + "read_backoff = -7\n", "read_backoff"),
+    (BASE + "read_retry_cap = -2\n", "read_retry_cap"),
+    (BASE + "read_retry_cap = 0\n", "read_retry_cap"),
+    (BASE + "n = 2\n", "n must be"),
+    (BASE + "c = 0\n", "c must be"),
+    (BASE + "r = 0\n", "r must be"),
+    (BASE + "steps = 0\n", "steps must be"),
+    (BASE + "writes = -1\n", "writes >= 0"),
     ("n oops\n", "key = value"),
 ])
 def test_parse_scenario_rejects(text, fragment):

@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from stabreg import timestamps
 from stabreg.labels import Label, LabelError, LabelParams, all_labels, make_label
 from stabreg.timestamps import (
     BOTTOM,
@@ -57,7 +58,7 @@ def test_dominates_is_nonstrict():
 
 def test_queue_move_to_front():
     a, b, c = (make_label(i, {i, i + 1}) for i in (1, 2, 3))
-    q = EpochsQueue(3)
+    q = EpochsQueue(3, P2)
     q.enqueue(a)
     q.enqueue(b)
     q.enqueue(c)
@@ -69,7 +70,7 @@ def test_queue_move_to_front():
 
 def test_queue_eviction_at_capacity():
     labels = [make_label(i, {i, i + 1}) for i in (1, 2, 3, 4)]
-    q = EpochsQueue(3)
+    q = EpochsQueue(3, P2)
     for label in labels:
         q.enqueue(label)
     assert len(q) == 3
@@ -79,7 +80,7 @@ def test_queue_eviction_at_capacity():
 
 def test_queue_rejects_bad_capacity():
     with pytest.raises(ValueError):
-        EpochsQueue(0)
+        EpochsQueue(0, P2)
 
 
 @settings(max_examples=200, deadline=None)
@@ -89,7 +90,7 @@ def test_queue_rejects_bad_capacity():
 )
 def test_queue_fuzz_distinct_and_bounded(capacity, indices):
     domain = list(all_labels(P2))
-    q = EpochsQueue(capacity)
+    q = EpochsQueue(capacity, P2)
     model: list = []  # newest first
     for idx in indices:
         label = domain[idx]
@@ -131,34 +132,55 @@ def queue_runs(draw):
 @given(queue_runs())
 def test_queue_keeps_the_antisting_union(case):
     params, capacity, ops = case
-    q = EpochsQueue(capacity)
+    q = EpochsQueue(capacity, params)
     for op in ops:
-        q.enqueue(q.next_label(params) if op is None else op)
+        q.enqueue(q.next_label() if op is None else op)
         union = set().union(*(lab.antistings for lab in q.entries))
         assert {x for x, flag in enumerate(q.covered) if flag} == union
-        assert q.next_label(params) == set_scan_next_label(q.entries, params)
+        assert q.next_label() == set_scan_next_label(q.entries, params)
 
 
-def test_queue_rejects_antisting_below_one_unchanged():
-    q = EpochsQueue(1)
+@pytest.mark.parametrize("label", [
+    Label(1, (0, 2)),  # antisting below 1
+    Label(1, (2, 6)),  # antisting above K = 5
+    Label(0, (2, 3)),  # sting below 1
+    Label(6, (2, 3)),  # sting above K
+    Label(1, (2, 3, 4)),  # antistings of a k=3 label
+    Label(1, (2,)),
+])
+def test_queue_rejects_misshapen_label_unchanged(label):
+    q = EpochsQueue(1, P2)
     q.enqueue(L_LOW)
     with pytest.raises(LabelError):
-        q.enqueue(Label(1, (0, 2)))
+        q.enqueue(label)
     assert q.entries == [L_LOW]
     assert {x for x, flag in enumerate(q.covered) if flag} == {4, 5}
+    assert q.next_label() == set_scan_next_label([L_LOW], P2)
+
+
+def test_queue_checks_a_label_only_when_it_enters(monkeypatch):
+    checked = []
+    monkeypatch.setattr(timestamps, "check_shape",
+                        lambda label, params: checked.append(label))
+    q = EpochsQueue(2, P2)
+    q.enqueue(L_LOW)
+    q.enqueue(L_HIGH)
+    q.enqueue(L_LOW)  # a move to the front
+    q.next_label()
+    assert checked == [L_LOW, L_HIGH]
 
 
 def test_next_timestamp_increments_seq():
-    q = EpochsQueue(4)
-    ts = next_timestamp(Timestamp(L_LOW, 3), q, seq_bound=8, params=P2)
+    q = EpochsQueue(4, P2)
+    ts = next_timestamp(Timestamp(L_LOW, 3), q, seq_bound=8)
     assert ts == Timestamp(L_LOW, 4)
     assert len(q) == 0  # epoch unchanged, nothing enqueued
 
 
 def test_next_timestamp_wraps_into_new_epoch():
-    q = EpochsQueue(4)
+    q = EpochsQueue(4, P2)
     current = Timestamp(L_LOW, 8)
-    ts = next_timestamp(current, q, seq_bound=8, params=P2)
+    ts = next_timestamp(current, q, seq_bound=8)
     assert ts.seq == 0
     assert ts.epoch != L_LOW
     assert precedes_e(current, ts)
@@ -166,10 +188,10 @@ def test_next_timestamp_wraps_into_new_epoch():
 
 
 def test_next_timestamp_dominates_queued_epochs():
-    q = EpochsQueue(4)
+    q = EpochsQueue(4, P2)
     rival = make_label(3, {1, 2})
     q.enqueue(rival)
-    ts = next_timestamp(Timestamp(L_LOW, 8), q, seq_bound=8, params=P2)
+    ts = next_timestamp(Timestamp(L_LOW, 8), q, seq_bound=8)
     assert precedes_e(Timestamp(rival, 8), ts)
     assert precedes_e(Timestamp(L_LOW, 8), ts)
 
