@@ -3,10 +3,12 @@
 With one sequential writer and pairwise-distinct written values, a trace is
 linearizable exactly when (a) every read returns a value that is not older
 than the last write completed before the read began and was invoked before
-the read ended, and (b) reads never invert the writer order across a
-happens-before edge.  Both checks run over any suffix of the trace in
-completed-operation order, which lets ``find_stabilization`` locate the
-earliest point from which the system behaves like an atomic register.
+the read ended, (b) reads never invert the writer order across a
+happens-before edge, and (c) the reads of values that no write wrote all
+return the same value, the register's one initial value.  The checks run
+over any suffix of the trace in completed-operation order, which lets
+``find_stabilization`` locate the earliest point from which the system
+behaves like an atomic register.
 
 ``parse_trace`` enforces what the checks rely on and raises ``TraceError``
 otherwise: each non-blank line is one JSON object, each event has integer
@@ -24,16 +26,29 @@ it.  For a read at completion index i:
   read was invoked;
 * read from the future (regularity): 1 + i;
 * new-old inversion: 1 + the largest index among reads that completed
-  before it was invoked and returned a later write.
+  before it was invoked and returned a later write;
+* initial value, for a read of a value that no write wrote: 1 + the smaller
+  of i and the largest index among reads invoked before it that returned
+  another such value.  Overlapping or not, two such reads conflict.
 
-``find_stabilization`` takes the largest cut in one sweep over the trace,
-O(N log N) for N operations: a ``bisect`` over write completions for
-regularity, and a staircase for inversions.  Reads enter the staircase in
-completion order, so a later entry always has the higher rank; an entry
-whose write index a later one matches or exceeds can never again be the
-latest newer read, and is dropped.  What is left falls in write index and
-rises in rank, and one ``bisect`` finds the latest read newer than any
-given one.
+``find_stabilization`` takes the largest cut of one sweep, O(N log N) for
+N operations.  The sweep walks the reads in invocation order, which is the
+order of ``Trace.operations``, and moves one pointer through the completed
+operations: those that ended before the current read began.  A write the
+pointer passes is the latest completed write, since the single writer
+completes in writer order.  A read it passes enters a staircase: a later
+entry always has the higher rank, so an entry whose write index a later
+one matches or exceeds can never again be the latest newer read, and is
+dropped.  What is left falls in write index and rises in rank, and one
+``bisect`` finds the latest read newer than any given one.  For the
+initial-value rule the sweep keeps, among the reads of unwritten values
+invoked so far, the one completed last and the one completed last with
+another value; the largest of these cuts pairs the highest-ranked such
+read with the highest-ranked one whose value differs from it.
+
+Violations are listed read by read in invocation order; a read's
+regularity violation comes first, then its inversion, then its
+initial-value conflict.
 """
 
 from __future__ import annotations
@@ -195,24 +210,43 @@ def parse_trace(lines) -> Trace:
             if op_kind == "read":
                 op.aborted = bool(event.get("abort"))
                 op.value = value
-    for op in _checkable_reads(completed):
-        op.widx = widx_of.get(op.value, -1)
+    for op in completed:
+        if op.kind == "read":
+            op.widx = widx_of.get(op.value, -1)
     return Trace(config, order, completed, writes)
 
 
-def _checkable_reads(suffix: list[Operation]) -> list[Operation]:
-    return [op for op in suffix if op.kind == "read" and not op.aborted]
-
-
-def _regularity(trace: Trace, suffix_start: int) -> Iterator[tuple[Violation, int]]:
-    """Each regularity violation of the suffix, with its cut."""
-    suffix = trace.completed[suffix_start:]
-    suffix_writes = [op for op in suffix if op.kind == "write"]
-    ends = [op.response_pos for op in suffix_writes]
-    for read in _checkable_reads(suffix):
-        # the single writer completes writes in writer order
-        done = bisect_left(ends, read.invoke_pos)
-        latest = suffix_writes[done - 1] if done else None
+def _violations(trace: Trace, suffix_start: int) -> Iterator[tuple[Violation, int]]:
+    """Each violation of the suffix with its cut, read by read in invocation
+    order: a read's regularity violation first, then its inversion, then its
+    initial-value conflict."""
+    completed, writes = trace.completed, trace.writes
+    i = suffix_start  # completed[suffix_start:i] ended before this read began
+    latest: Optional[Operation] = None  # the last write among them
+    best: Optional[Operation] = None  # the first read among them with max widx
+    # the staircase: -widx rising (widx strictly falling), rank rising
+    neg_widx: list[int] = []
+    ranks: list[int] = []
+    # among the reads of unwritten values (widx -1) invoked so far: the one
+    # completed last, and the one completed last with another value
+    top: Optional[Operation] = None
+    other: Optional[Operation] = None
+    for read in trace.operations:
+        if read.kind != "read" or read.aborted or read.rank < suffix_start:
+            continue  # a write, an aborted, pending (rank -1) or pre-suffix read
+        while i < len(completed) and completed[i].response_pos < read.invoke_pos:
+            prev = completed[i]
+            i += 1
+            if prev.kind == "write":
+                latest = prev  # the single writer completes in writer order
+            elif not prev.aborted:
+                if best is None or prev.widx > best.widx:
+                    best = prev
+                while neg_widx and neg_widx[-1] >= -prev.widx:
+                    neg_widx.pop()
+                    ranks.pop()
+                neg_widx.append(-prev.widx)
+                ranks.append(prev.rank)
         if latest is not None and read.widx < latest.widx:
             yield Violation(
                 "regularity",
@@ -220,36 +254,12 @@ def _regularity(trace: Trace, suffix_start: int) -> Iterator[tuple[Violation, in
                 f"read {read.op_id} returned {read.value!r} although write "
                 f"{latest.op_id} completed before it",
             ), latest.rank + 1
-            continue
-        source = trace.writes[read.widx] if read.widx >= 0 else None
-        if source is not None and source.invoke_pos > read.response_pos:
+        elif read.widx >= 0 and writes[read.widx].invoke_pos > read.response_pos:
             yield Violation(
                 "regularity",
-                (read.op_id, source.op_id),
+                (read.op_id, writes[read.widx].op_id),
                 f"read {read.op_id} returned a value written only later",
             ), read.rank + 1
-
-
-def _inversions(trace: Trace, suffix_start: int) -> Iterator[tuple[Violation, int]]:
-    """Each new-old inversion of the suffix, with its cut."""
-    by_response = _checkable_reads(trace.completed[suffix_start:])
-    by_invoke = sorted(by_response, key=lambda op: op.invoke_pos)
-    best: Optional[Operation] = None  # completed read with max widx so far
-    # the staircase: -widx rising (widx strictly falling), rank rising
-    neg_widx: list[int] = []
-    ranks: list[int] = []
-    i = 0
-    for read in by_invoke:
-        while i < len(by_response) and by_response[i].response_pos < read.invoke_pos:
-            prev = by_response[i]
-            if best is None or prev.widx > best.widx:
-                best = prev
-            while neg_widx and neg_widx[-1] >= -prev.widx:
-                neg_widx.pop()
-                ranks.pop()
-            neg_widx.append(-prev.widx)
-            ranks.append(prev.rank)
-            i += 1
         if best is not None and read.widx < best.widx:
             j = bisect_left(neg_widx, -read.widx)  # the entries with widx above
             yield Violation(
@@ -258,6 +268,20 @@ def _inversions(trace: Trace, suffix_start: int) -> Iterator[tuple[Violation, in
                 f"read {read.op_id} returned older value than earlier read "
                 f"{best.op_id}",
             ), ranks[j - 1] + 1
+        if read.widx < 0:
+            partner = top if top is not None and top.value != read.value else other
+            if partner is not None:
+                yield Violation(
+                    "initial-value",
+                    (partner.op_id, read.op_id),
+                    f"read {read.op_id} returned {read.value!r} but read "
+                    f"{partner.op_id} returned {partner.value!r}, and no write "
+                    f"wrote either",
+                ), min(read.rank, partner.rank) + 1
+            if top is None or read.rank > top.rank:
+                top, other = read, partner
+            elif partner is top and (other is None or read.rank > other.rank):
+                other = read
 
 
 def check_regularity(trace: Trace, suffix_start: int = 0) -> list[Violation]:
@@ -267,20 +291,22 @@ def check_regularity(trace: Trace, suffix_start: int = 0) -> list[Violation]:
     corrupted value) are tolerated only until the first in-suffix write
     completes before the read begins.
     """
-    return [v for v, _cut in _regularity(trace, suffix_start)]
+    return [v for v, _c in _violations(trace, suffix_start) if v.rule == "regularity"]
 
 
 def check_no_inversion(trace: Trace, suffix_start: int = 0) -> list[Violation]:
     """Across a happens-before edge, reads must not go back in writer order."""
-    return [v for v, _cut in _inversions(trace, suffix_start)]
+    return [v for v, _c in _violations(trace, suffix_start)
+            if v.rule == "new-old-inversion"]
 
 
 def check_suffix(trace: Trace, suffix_start: int = 0) -> list[Violation]:
-    return check_regularity(trace, suffix_start) + check_no_inversion(trace, suffix_start)
+    """Every violation of the suffix, read by read in invocation order."""
+    return [v for v, _c in _violations(trace, suffix_start)]
 
 
 def find_stabilization(trace: Trace, metrics: Optional[dict] = None) -> Verdict:
-    """Earliest completed-operation index whose suffix passes both checks.
+    """Earliest completed-operation index whose suffix has no violation.
 
     That index is the largest cut of the full trace's violations, 0 if it
     has none.  A verdict needs a suffix of at least two operations, so a cut
@@ -289,7 +315,7 @@ def find_stabilization(trace: Trace, metrics: Optional[dict] = None) -> Verdict:
     never otherwise.
     """
     completed = trace.completed
-    found = [*_regularity(trace, 0), *_inversions(trace, 0)]
+    found = list(_violations(trace, 0))
     cut = max((c for _v, c in found), default=0)
     atomic_from = cut if cut <= max(len(completed) - 2, 0) else None
     stats = {

@@ -13,8 +13,8 @@ from array import array
 from dataclasses import dataclass
 from typing import Optional
 
-from .labels import (Label, LabelParams, check_shape, format_label, next_label_covered,
-                     parse_label, precedes_b)
+from .labels import (Label, LabelError, LabelParams, check_shape, format_label,
+                     next_label_covered, parse_label, precedes_b)
 
 
 @dataclass(frozen=True)
@@ -53,16 +53,19 @@ class EpochsQueue:
     Re-enqueueing a present label moves it to the head without growing the
     queue; at capacity the oldest label is evicted.  The labels belong to the
     universe of ``params``: a label's shape is checked once, when it enters
-    (a bad one raises LabelError and leaves the queue unchanged).  For
-    ``next_label`` the queue keeps the union of its antistings: ``covered[x]``
-    is 1 while some label holds x, and ``_counts[x]`` counts them.  Both
-    change only when a label enters or leaves, up to the largest antisting
-    ever held.
+    (a bad one raises LabelError and leaves the queue unchanged), and the
+    capacity is at most ``params.k``, so a full queue can still be searched.
+    For ``next_label`` the queue keeps the union of its antistings:
+    ``covered[x]`` is 1 while some label holds x, and ``_counts[x]`` counts
+    them.  Both change only when a label enters or leaves, up to the largest
+    antisting ever held.
     """
 
     def __init__(self, capacity: int, params: LabelParams):
         if capacity < 1:
             raise ValueError("queue capacity must be positive")
+        if capacity > params.k:
+            raise LabelError(f"queue capacity {capacity} is above k={params.k}")
         self.capacity = capacity
         self.params = params
         # Insertion-ordered dict used as a set: last key = newest.

@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass
+from typing import Optional
 
 from stabreg.checker import Trace, check_suffix
 from stabreg.labels import Label, LabelParams, make_label
@@ -26,11 +27,16 @@ class Op:
     response: int
 
 
-def linearizable_swmr(ops: list[Op], initial: str = INITIAL_VALUE) -> bool:
-    """Exhaustive search for a legal sequential ordering of the operations."""
-    memo: dict[tuple[frozenset, str], bool] = {}
+def linearizable_swmr(ops: list[Op], initial: Optional[str] = None) -> bool:
+    """Exhaustive search for a legal sequential ordering of the operations.
 
-    def dfs(remaining: frozenset[Op], current: str) -> bool:
+    ``initial=None``, the default, stands for some initial value that no
+    write wrote: each value read but never written is tried in turn (any
+    one, if there is none).
+    """
+    memo: dict[tuple[frozenset, Optional[str]], bool] = {}
+
+    def dfs(remaining: frozenset[Op], current: Optional[str]) -> bool:
         if not remaining:
             return True
         key = (remaining, current)
@@ -54,7 +60,11 @@ def linearizable_swmr(ops: list[Op], initial: str = INITIAL_VALUE) -> bool:
         memo[key] = result
         return result
 
-    return dfs(frozenset(ops), initial)
+    if initial is not None:
+        return dfs(frozenset(ops), initial)
+    written = {op.value for op in ops if op.kind == "write"}
+    unwritten = {op.value for op in ops if op.kind == "read"} - written
+    return any(dfs(frozenset(ops), value) for value in unwritten or {None})
 
 
 def make_trace_lines(ops_by_proc: dict[int, list[Op]]) -> list[str]:
@@ -87,8 +97,8 @@ def random_ops(seed: int, max_ops: int = 8) -> dict[int, list[Op]]:
     """Random SWMR history: sequential writer, two sequential readers.
 
     Read values are drawn from already-invoked writes, the initial value,
-    and occasionally a deliberately bogus choice, so both linearizable and
-    non-linearizable histories appear.
+    and occasionally a deliberately bogus choice, ``corrupt``, which no write
+    wrote either, so both linearizable and non-linearizable histories appear.
     """
     rng = random.Random(seed)
     n_writes = rng.randint(0, min(4, max_ops))
@@ -120,6 +130,8 @@ def random_ops(seed: int, max_ops: int = 8) -> dict[int, list[Op]]:
             else:
                 choices = [INITIAL_VALUE] + write_values
                 value = rng.choice(choices)
+                if value == INITIAL_VALUE and rng.random() < 0.2:
+                    value = "corrupt"  # a second value that no write wrote
                 ops_by_proc[proc].append(Op("read", value, invoke, time))
     return {p: ops for p, ops in ops_by_proc.items() if ops}
 

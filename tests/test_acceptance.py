@@ -196,7 +196,8 @@ def test_criterion_6_stabilization():
     started = time.perf_counter()
     seeds = 200
     failures = []
-    cells = 0
+    cells = non_atomic = 0
+    worst_ratio = 0.0
     for n in (3, 5):
         for c in (1, 2):
             for r in (8, 64):
@@ -214,9 +215,14 @@ def test_criterion_6_stabilization():
                         wbs = verdict.stats["writes_before_stabilization"]
                         if verdict.atomic_from is None or wbs > bound:
                             failures.append((n, c, r, mode, seed))
+                            continue
+                        non_atomic += verdict.atomic_from > 0
+                        worst_ratio = max(worst_ratio, wbs / bound)
     elapsed = time.perf_counter() - started
     ok = not failures
-    report(6, ok, f"{cells} cells x {seeds} seeds, "
+    report(6, ok, f"{cells} cells x {seeds} seeds, {non_atomic} runs start "
+                  f"non-atomic, largest writes_before_stabilization/bound "
+                  f"{worst_ratio:.3f}, "
                   f"failures: {failures[:5] if failures else 'none'}, "
                   f"{elapsed:.0f}s")
     assert ok
@@ -262,17 +268,22 @@ def test_criterion_7_oracle_potential():
 
 
 def test_criterion_8_phase_message_bound(clean_start_runs):
+    # a phase ends on its quorum-th response and asks only its n - 1 peers;
+    # a majority of n counts the processor itself, so at least n // 2 of
+    # them hear a request
     n = 5
+    quorum = n // 2 + 1
     bad = [
         (seed, metrics["max_phase_requests"], metrics["max_phase_responses"])
         for seed, metrics, _v in clean_start_runs
-        if metrics["max_phase_requests"] > 2 * n
-        or metrics["max_phase_responses"] > 2 * n
+        if metrics["max_phase_responses"] != quorum
+        or not n // 2 <= metrics["max_phase_requests"] <= n - 1
     ]
     total_phases = sum(m["completed_phases"] for _s, m, _v in clean_start_runs)
     ok = not bad and total_phases > 0
     report(8, ok, f"{total_phases} completed phases across 50 runs, "
-                  f"bound 2n={2 * n}, violations: {bad if bad else 'none'}")
+                  f"max responses == {quorum}, max requests in "
+                  f"{n // 2}..{n - 1}, violations: {bad if bad else 'none'}")
     assert ok
 
 
@@ -292,7 +303,7 @@ def test_criterion_9_checker_equivalence():
             continue
         trace = parse_trace(make_trace_lines(ops_by_proc))
         checker_ok = not check_suffix(trace)
-        brute_ok = linearizable_swmr(ops)
+        brute_ok = linearizable_swmr(ops, initial=None)
         if checker_ok != brute_ok:
             disagreements.append(seed)
         if brute_ok:

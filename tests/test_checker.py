@@ -14,6 +14,7 @@ from stabreg.checker import (
 )
 
 from stabreg.protocol import INITIAL_VALUE
+from stabreg.sim import ScenarioConfig, run_scenario
 
 from helpers import (
     Op,
@@ -204,6 +205,73 @@ def test_new_old_inversion_between_reads():
     assert [v.rule for v in violations] == ["new-old-inversion"]
 
 
+def test_violations_are_listed_read_by_read_in_invocation_order():
+    # p1op3 is invoked first and completes last; both it and p2op5 are
+    # stale, and p2op5 also goes back behind p2op4
+    trace = parsed({
+        0: [Op("write", "v#1", 1, 2), Op("write", "v#2", 3, 4)],
+        1: [Op("read", "v#1", 5, 20)],
+        2: [Op("read", "v#2", 6, 7), Op("read", "v_init", 8, 9)],
+    })
+    expected = [
+        ("regularity", ("p1op3", "p0op2")),
+        ("regularity", ("p2op5", "p0op2")),
+        ("new-old-inversion", ("p2op4", "p2op5")),
+    ]
+    assert [(v.rule, v.op_ids) for v in check_suffix(trace)] == expected
+    verdict = find_stabilization(trace)
+    assert [(v.rule, v.op_ids) for v in verdict.violations] == expected
+
+
+def test_reads_of_two_unwritten_values_conflict_even_when_they_overlap():
+    ops_by_proc = {
+        0: [Op("write", "v#1", 5, 6)],
+        1: [Op("read", "corrupt#0", 1, 4), Op("read", "v#1", 7, 8)],
+        2: [Op("read", "corrupt#1", 2, 3)],
+    }
+    trace = parsed(ops_by_proc)
+    verdict = find_stabilization(trace)
+    assert [(v.rule, v.op_ids) for v in verdict.violations] == [
+        ("initial-value", ("p1op2", "p2op4"))]
+    assert check_regularity(trace) == check_no_inversion(trace) == []
+    # the earlier-completed read (rank 0) leaves the suffix first
+    assert verdict.atomic_from == 1 == suffix_scan_atomic_from(trace)
+    assert not linearizable_swmr(all_ops(ops_by_proc), initial=None)
+    # one unwritten value is the register's initial value, whatever it is
+    ops_by_proc[2] = [Op("read", "corrupt#0", 2, 3)]
+    assert find_stabilization(parsed(ops_by_proc)).violations == []
+    assert linearizable_swmr(all_ops(ops_by_proc), initial=None)
+
+
+def test_unwritten_value_cut_is_the_latest_pair():
+    # the latest unwritten read and the latest one with another value set
+    # the cut: 1 + the earlier of the two ranks
+    for values, cut in ((["a", "b", "b"], 1), (["a", "b", "a"], 2)):
+        reads = [Op("read", v, 2 * i + 1, 2 * i + 2) for i, v in enumerate(values)]
+        trace = parsed({0: [Op("write", "v#1", 7, 8)],
+                        1: reads + [Op("read", "v#1", 9, 10)]})
+        verdict = find_stabilization(trace)
+        assert {v.rule for v in verdict.violations} == {"initial-value"}
+        assert verdict.atomic_from == cut == suffix_scan_atomic_from(trace)
+
+
+def test_reads_of_two_unwritten_values_in_a_real_run():
+    # near-wrap seed 13: p3r1 returns corrupt#1 and completes first, every
+    # other read before the first write returns corrupt#0
+    config = ScenarioConfig(n=5, seed=13, steps=600_000, writes=40, c=1, r=8,
+                            corruption="near-wrap")
+    lines, metrics = run_scenario(config)
+    trace = parse_trace(lines)
+    ops = {op.op_id: op for op in trace.operations}
+    assert (ops["p3r1"].value, ops["p3r1"].rank) == ("corrupt#1", 0)
+    assert ops["p3r2"].value == "corrupt#0"
+    assert ops["p3r1"].response_pos < ops["p3r2"].invoke_pos
+    verdict = find_stabilization(trace, metrics)
+    assert {v.rule for v in verdict.violations} == {"initial-value"}
+    assert ("p3r1", "p3r2") in [v.op_ids for v in verdict.violations]
+    assert verdict.atomic_from == 1
+
+
 def test_aborted_reads_are_counted_but_not_checked():
     lines = make_trace_lines({0: [Op("write", "v#1", 1, 2)]}) + [
         json.dumps({"step": 3, "proc": 1, "event": "read_invoke", "op_id": "r1"}),
@@ -258,7 +326,7 @@ def test_agrees_with_brute_force_on_random_histories():
             continue
         trace = parsed(ops_by_proc)
         checker_ok = not check_suffix(trace)
-        brute_ok = linearizable_swmr(ops)
+        brute_ok = linearizable_swmr(ops, initial=None)
         if checker_ok != brute_ok:
             disagreements.append(seed)
         seen_bad += not brute_ok

@@ -17,6 +17,7 @@ from stabreg.timestamps import (
 from helpers import set_scan_next_label
 
 P2 = LabelParams(2)
+P3 = LabelParams(3)
 L_LOW = make_label(2, {4, 5})
 L_HIGH = make_label(1, {2, 3})  # L_LOW precedes L_HIGH
 
@@ -57,8 +58,8 @@ def test_dominates_is_nonstrict():
 
 
 def test_queue_move_to_front():
-    a, b, c = (make_label(i, {i, i + 1}) for i in (1, 2, 3))
-    q = EpochsQueue(3, P2)
+    a, b, c = (make_label(i, {i, i + 1, i + 2}) for i in (1, 2, 3))
+    q = EpochsQueue(3, P3)
     q.enqueue(a)
     q.enqueue(b)
     q.enqueue(c)
@@ -69,8 +70,8 @@ def test_queue_move_to_front():
 
 
 def test_queue_eviction_at_capacity():
-    labels = [make_label(i, {i, i + 1}) for i in (1, 2, 3, 4)]
-    q = EpochsQueue(3, P2)
+    labels = [make_label(i, {i, i + 1, i + 2}) for i in (1, 2, 3, 4)]
+    q = EpochsQueue(3, P3)
     for label in labels:
         q.enqueue(label)
     assert len(q) == 3
@@ -81,6 +82,10 @@ def test_queue_eviction_at_capacity():
 def test_queue_rejects_bad_capacity():
     with pytest.raises(ValueError):
         EpochsQueue(0, P2)
+    # next_label takes at most k labels, so a fuller queue could not be searched
+    with pytest.raises(LabelError, match="above k=2"):
+        EpochsQueue(3, P2)
+    assert EpochsQueue(2, P2).capacity == 2
 
 
 @settings(max_examples=200, deadline=None)
@@ -89,8 +94,10 @@ def test_queue_rejects_bad_capacity():
     st.lists(st.integers(0, 49), max_size=40),
 )
 def test_queue_fuzz_distinct_and_bounded(capacity, indices):
-    domain = list(all_labels(P2))
-    q = EpochsQueue(capacity, P2)
+    # the 50 labels of k=2, padded to k=6 with four antistings they all share
+    domain = [make_label(lab.sting, {*lab.antistings, 34, 35, 36, 37})
+              for lab in all_labels(P2)]
+    q = EpochsQueue(capacity, LabelParams(6))
     model: list = []  # newest first
     for idx in indices:
         label = domain[idx]
@@ -171,14 +178,14 @@ def test_queue_checks_a_label_only_when_it_enters(monkeypatch):
 
 
 def test_next_timestamp_increments_seq():
-    q = EpochsQueue(4, P2)
+    q = EpochsQueue(2, P2)
     ts = next_timestamp(Timestamp(L_LOW, 3), q, seq_bound=8)
     assert ts == Timestamp(L_LOW, 4)
     assert len(q) == 0  # epoch unchanged, nothing enqueued
 
 
 def test_next_timestamp_wraps_into_new_epoch():
-    q = EpochsQueue(4, P2)
+    q = EpochsQueue(2, P2)
     current = Timestamp(L_LOW, 8)
     ts = next_timestamp(current, q, seq_bound=8)
     assert ts.seq == 0
@@ -188,7 +195,7 @@ def test_next_timestamp_wraps_into_new_epoch():
 
 
 def test_next_timestamp_dominates_queued_epochs():
-    q = EpochsQueue(4, P2)
+    q = EpochsQueue(2, P2)
     rival = make_label(3, {1, 2})
     q.enqueue(rival)
     ts = next_timestamp(Timestamp(L_LOW, 8), q, seq_bound=8)
