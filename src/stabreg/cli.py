@@ -46,14 +46,22 @@ def cmd_run(args) -> int:
             print(f"error: STABREG_SEED must be an integer, got {seed_env!r}",
                   file=sys.stderr)
             return 2
-    out = _out_dir(args)
+    try:
+        out = _out_dir(args)
+    except OSError as exc:
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
+        return 2
     trace_path = Path(args.trace) if args.trace else out / f"trace-{config.seed}.jsonl"
     metrics_path = (
         Path(args.metrics) if args.metrics else out / f"metrics-{config.seed}.json"
     )
     lines, metrics = run_scenario(config, audit=args.audit)
-    trace_path.write_text("\n".join(lines) + "\n")
-    metrics_path.write_text(json.dumps(metrics, sort_keys=True, indent=2) + "\n")
+    try:
+        trace_path.write_text("\n".join(lines) + "\n")
+        metrics_path.write_text(json.dumps(metrics, sort_keys=True, indent=2) + "\n")
+    except OSError as exc:
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
+        return 2
     print(f"trace: {trace_path}")
     print(f"metrics: {metrics_path}")
     return 0

@@ -46,6 +46,14 @@ class Label:
     sting: int
     antistings: tuple[int, ...]
 
+    def __post_init__(self):
+        # the hash the dataclass would compute, once: the epochs queue
+        # probes its dict with the same labels over and over
+        object.__setattr__(self, "_hash", hash((self.sting, self.antistings)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
     def validate(self, params: LabelParams) -> None:
         check_shape(self, params)
         anti = self.antistings

@@ -10,15 +10,21 @@ replicas, then install a value on a majority):
   and serves as a reference for the quorum machinery.
 
 State machines are pure per-event transition functions: the simulator owns
-scheduling, feeds one message at a time, and collects emitted replies.
-Phase nonces are simulator plumbing for request/response matching and are
-not part of the protocol's bounded state.
+scheduling, feeds one message at a time, and collects emitted replies.  It
+also owns the operations: it names them, writes their trace events, and
+reads each finished phase off the processor.  An operation ends when its
+processor goes idle.  A read aborts when its quorum read phase finds no
+view that dominates the others, so the read phase is the last phase it ran;
+any other operation ends with a write phase, whose payload is the
+``(ts, value)`` it installed.  Phase nonces are simulator plumbing for
+request/response matching and are not part of the protocol's bounded
+state.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, NamedTuple, Optional
+from typing import Any, NamedTuple, Optional
 
 from .labels import Label, LabelParams, next_label, precedes_b
 from .timestamps import (
@@ -36,10 +42,6 @@ QW_REQ = "QW_REQ"
 QW_ACK = "QW_ACK"
 
 WRITER_ID = 0
-
-# the value a read reports when its quorum read phase finds no timestamp
-# that dominates every view it collected
-ABORT = "__abort__"
 
 
 class Message(NamedTuple):
@@ -93,11 +95,6 @@ class ProtocolParams:
 
 INITIAL_VALUE = "v_init"
 
-# Event recorder signature: (pid, kind, op_id, value).  A finished quorum
-# phase is reported as kind "phase_done", with the phase's kind in the op_id
-# slot and (#request destinations, #responses) as the value.
-Recorder = Callable[[int, str, str, Any], None]
-
 
 @dataclass
 class Phase:
@@ -121,32 +118,33 @@ class QuorumProcessor:
     ``adopt`` (whether the write-back is kept).
     """
 
-    def __init__(self, pid: int, params: ProtocolParams, recorder: Recorder):
+    def __init__(self, pid: int, params: ProtocolParams):
         self.pid = pid
         self.params = params
-        self.recorder = recorder
         self.phase: Optional[Phase] = None
         self._nonce_counter = 0
-        self.op_id: Optional[str] = None
         self.pending_value: Optional[str] = None
         self._peers = [d for d in range(params.n) if d != pid]
 
     # -- operations ----------------------------------------------------
 
-    def start_write(self, value: str, op_id: str) -> None:
-        self._invoke("write_invoke", op_id, value)
+    def start_write(self, value: str) -> None:
+        self.pending_value = value
+        self.start_read()
 
-    def start_read(self, op_id: str) -> None:
-        self._invoke("read_invoke", op_id)
+    def start_read(self) -> None:
+        """Open an operation's quorum read phase; a write opens it too."""
+        assert self.idle, "one operation at a time per processor"
+        self._begin_phase(QR_REQ)
+        self.phase.responses[self.pid] = self.snapshot()
 
     def on_quorum_read_done(self) -> None:
         ph = self.phase
         responses = [ph.responses[pid] for pid in sorted(ph.responses)]
-        self._finish_phase()
+        self.phase = None
         payload = self.choose(responses)
         if payload is None:
-            self._respond("read_response", ABORT)
-            return
+            return  # the read aborts
         # open the write phase, applying it locally as one's own ack
         self._begin_phase(QW_REQ, payload)
         self.apply_quorum_write(payload)
@@ -154,38 +152,15 @@ class QuorumProcessor:
 
     def on_quorum_write_done(self) -> None:
         ts, value = self.phase.payload
-        self._finish_phase()
-        if self.pid == WRITER_ID:
-            self._respond("write_response")
-        else:
+        self.phase = None
+        if self.pid != WRITER_ID:
             self.adopt(ts, value)
-            self._respond("read_response", value)
 
     # -- phase helpers -------------------------------------------------
 
     def _begin_phase(self, kind: str, payload=None) -> None:
         self._nonce_counter += 1
         self.phase = Phase(kind, (self.pid, self._nonce_counter), payload)
-
-    def _finish_phase(self) -> None:
-        ph = self.phase
-        self.phase = None
-        self.recorder(self.pid, "phase_done", ph.kind,
-                      (len(ph.distinct_requests), len(ph.responses)))
-
-    def _invoke(self, kind: str, op_id: str, value: Optional[str] = None) -> None:
-        """Record an operation's invocation and open its quorum read phase."""
-        assert self.idle, "one operation at a time per processor"
-        self.op_id = op_id
-        self.pending_value = value
-        self.recorder(self.pid, kind, op_id, value)
-        self._begin_phase(QR_REQ)
-        self.phase.responses[self.pid] = self.snapshot()
-
-    def _respond(self, kind: str, value: Optional[str] = None) -> None:
-        """Record the response that completes the current operation."""
-        self.recorder(self.pid, kind, self.op_id, value)
-        self.op_id = None
 
     def next_send(self) -> Optional[Message]:
         """Next request retransmission for the in-flight phase, if any."""
@@ -254,8 +229,8 @@ class BoundedWriter(QuorumProcessor):
     """The single writer: discovers competing epochs via quorum reads and its
     epochs queue, then installs a dominating timestamp on a majority."""
 
-    def __init__(self, params: ProtocolParams, recorder: Recorder):
-        super().__init__(WRITER_ID, params, recorder)
+    def __init__(self, params: ProtocolParams):
+        super().__init__(WRITER_ID, params)
         self.ml: Timestamp = params.initial_timestamp()
         self.value = INITIAL_VALUE
         self.epochs = EpochsQueue(params.k, params.label_params)
@@ -295,8 +270,8 @@ class BoundedReader(QuorumProcessor):
     """A reader/replica: serves quorum requests, records canceling evidence,
     and performs reads that help complete the maximal visible write."""
 
-    def __init__(self, pid: int, params: ProtocolParams, recorder: Recorder):
-        super().__init__(pid, params, recorder)
+    def __init__(self, pid: int, params: ProtocolParams):
+        super().__init__(pid, params)
         self.ml: Timestamp = params.initial_timestamp()
         self.cl: MaybeTimestamp = None
         self.value = INITIAL_VALUE
@@ -340,8 +315,8 @@ class BoundedReader(QuorumProcessor):
 class OracleProcessor(QuorumProcessor):
     """Replica of the integer-sequence-number reference protocol."""
 
-    def __init__(self, pid: int, params: ProtocolParams, recorder: Recorder):
-        super().__init__(pid, params, recorder)
+    def __init__(self, pid: int, params: ProtocolParams):
+        super().__init__(pid, params)
         self.max_seq = 0
         self.value = INITIAL_VALUE
 
@@ -356,8 +331,8 @@ class OracleProcessor(QuorumProcessor):
 
 
 class OracleWriter(OracleProcessor):
-    def __init__(self, params: ProtocolParams, recorder: Recorder):
-        super().__init__(WRITER_ID, params, recorder)
+    def __init__(self, params: ProtocolParams):
+        super().__init__(WRITER_ID, params)
 
     def choose(self, responses):
         self.max_seq = max([s for s, _v in responses] + [self.max_seq]) + 1

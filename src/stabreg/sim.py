@@ -16,7 +16,7 @@ import random
 from dataclasses import dataclass, field, asdict
 
 from . import adversary
-from .protocol import (ABORT, QR_REQ, QR_RESP, QW_REQ, WRITER_ID, BoundedReader,
+from .protocol import (QR_REQ, QR_RESP, QW_REQ, WRITER_ID, BoundedReader,
                        BoundedWriter, Message, OracleReader, OracleWriter, ProtocolParams)
 
 CORRUPTION_MODES = tuple(adversary.MODES)
@@ -205,6 +205,8 @@ class Simulation:
         self.writes_done = 0
         self._write_counter = 0
         self._read_counters = [0] * n
+        # the operation each processor runs, None if idle or never invoked
+        self._op_ids: list[str | None] = [None] * n
         self._abort_streak = [0] * n
         self._reader_wait = [0] * n
         self.reads_aborted = 0
@@ -217,41 +219,11 @@ class Simulation:
 
     # -- construction --------------------------------------------------
 
-    def _record(self, pid: int, kind: str, op_id: str, value):
-        """Append one trace event and count the operation it completes, or
-        fold a finished phase into the phase metrics."""
-        if kind == "phase_done":
-            self.completed_phases += 1
-            self.max_phase_requests = max(self.max_phase_requests, value[0])
-            self.max_phase_responses = max(self.max_phase_responses, value[1])
-            return
-        event = {"step": self.step_count, "proc": pid, "event": kind, "op_id": op_id}
-        if kind == "write_response":
-            self.writes_done += 1
-        elif kind == "read_response":
-            if value == ABORT:
-                value = None
-                event["abort"] = True
-                self.reads_aborted += 1
-                backoff = self.config.read_backoff
-                self._abort_streak[pid] += 1
-                if self._abort_streak[pid] >= self.config.read_retry_cap:
-                    backoff *= 10
-                    self._abort_streak[pid] = 0
-                self._reader_wait[pid] = backoff
-            else:
-                self.reads_done += 1
-                self._abort_streak[pid] = 0
-        if value is not None:
-            event["value"] = value
-        self.events.append(event)
-
     def _build_processors(self):
         """The clean start: every processor at its initial state."""
         writer, reader = PROTOCOLS[self.config.protocol]
-        params, rec = self.params, self._record
-        return [writer(params, rec)] + [
-            reader(pid, params, rec) for pid in range(1, self.config.n)]
+        return [writer(self.params)] + [
+            reader(pid, self.params) for pid in range(1, self.config.n)]
 
     # -- scheduling ----------------------------------------------------
 
@@ -266,9 +238,12 @@ class Simulation:
     def _poll_client(self, pid: int, proc):
         """Start the next operation of an idle processor, if one is due."""
         if pid == WRITER_ID:
-            if self._write_counter < self.config.writes:
-                self._write_counter += 1
-                proc.start_write(f"v#{self._write_counter}", f"w{self._write_counter}")
+            if self._write_counter >= self.config.writes:
+                return
+            self._write_counter += 1
+            op_id, value = f"w{self._write_counter}", f"v#{self._write_counter}"
+            self._event(pid, "write_invoke", op_id, value=value)
+            proc.start_write(value)
         else:
             if self.writes_done >= self.config.writes:
                 return  # run is winding down, no fresh reads
@@ -276,7 +251,41 @@ class Simulation:
                 self._reader_wait[pid] -= 1
                 return
             self._read_counters[pid] += 1
-            proc.start_read(f"p{pid}r{self._read_counters[pid]}")
+            op_id = f"p{pid}r{self._read_counters[pid]}"
+            self._event(pid, "read_invoke", op_id)
+            proc.start_read()
+        self._op_ids[pid] = op_id
+
+    def _phase_done(self, pid: int, proc, phase) -> None:
+        """Fold the phase that ``proc`` just finished into the phase metrics,
+        and record the response of the operation it ended, if any."""
+        self.completed_phases += 1
+        self.max_phase_requests = max(self.max_phase_requests, len(phase.distinct_requests))
+        self.max_phase_responses = max(self.max_phase_responses, len(phase.responses))
+        op_id = self._op_ids[pid]
+        if proc.phase is not None or op_id is None:
+            return  # the write phase follows, or the start planted the operation
+        self._op_ids[pid] = None
+        if pid == WRITER_ID:
+            self.writes_done += 1
+            self._event(pid, "write_response", op_id)
+        elif phase.kind == QR_REQ:  # no view dominated the others
+            self.reads_aborted += 1
+            backoff = self.config.read_backoff
+            self._abort_streak[pid] += 1
+            if self._abort_streak[pid] >= self.config.read_retry_cap:
+                backoff *= 10
+                self._abort_streak[pid] = 0
+            self._reader_wait[pid] = backoff
+            self._event(pid, "read_response", op_id, abort=True)
+        else:
+            self.reads_done += 1
+            self._abort_streak[pid] = 0
+            self._event(pid, "read_response", op_id, value=phase.payload[1])
+
+    def _event(self, pid: int, kind: str, op_id: str, **fields) -> None:
+        self.events.append({"step": self.step_count, "proc": pid, "event": kind,
+                            "op_id": op_id, **fields})
 
     # -- the scheduler loop --------------------------------------------
 
@@ -340,7 +349,10 @@ class Simulation:
                 else:
                     box = boxes[_below(getrandbits, len(boxes))]
                 if box:  # else a null message
+                    phase = proc.phase
                     outbox.extend(proc.on_message(box.pop(_below(getrandbits, len(box)))))
+                    if proc.phase is not phase:
+                        self._phase_done(pid, proc, phase)
 
             for check in checks:
                 check(pid, msg)
@@ -355,10 +367,13 @@ class Simulation:
         if msg is not None:
             self._audit_sent[id(msg)] = msg
         in_links = {}
+        # raised, not asserted: the audit must hold under python -O too
         for (i, j), box in self.links.items():
-            assert len(box) <= self.config.c, f"capacity violated on link {(i, j)}"
+            if len(box) > self.config.c:
+                raise AssertionError(f"capacity violated on link {(i, j)}")
             for msg in box:
-                assert self._audit_sent.get(id(msg)) is msg, "fabricated message in link"
+                if self._audit_sent.get(id(msg)) is not msg:
+                    raise AssertionError("fabricated message in link")
                 in_links[id(msg)] = msg
         # messages that left the links can no longer be forged into them
         self._audit_sent = in_links

@@ -60,6 +60,18 @@ def test_run_missing_config(tmp_path, capsys):
     assert "cannot read config" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("where", ["trace-in-missing-dir", "out-is-a-file"])
+def test_run_reports_unwritable_output(config_file, tmp_path, capsys, where):
+    if where == "out-is-a-file":
+        (tmp_path / "taken").write_text("")
+        args = ["--out", str(tmp_path / "taken")]
+    else:
+        args = ["--out", str(tmp_path), "--trace", str(tmp_path / "missing" / "t.jsonl")]
+    rc = main(["run", "--config", str(config_file), *args])
+    assert rc == 2
+    assert "error: cannot write output" in capsys.readouterr().err
+
+
 def test_run_invalid_config(tmp_path, capsys):
     bad = tmp_path / "bad.cfg"
     bad.write_text("n = 5\n")  # missing required keys

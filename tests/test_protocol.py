@@ -21,25 +21,38 @@ from stabreg.timestamps import Timestamp, precedes_e
 
 def make_system(n=3, r=8, k_override=8):
     params = ProtocolParams(n, c=1, r=r, k_override=k_override)
-    events = []
-
-    def rec(pid, kind, op_id, value):
-        events.append((pid, kind, op_id, value))
-
-    writer = BoundedWriter(params, rec)
-    procs = [writer] + [BoundedReader(pid, params, rec) for pid in range(1, n)]
-    return params, procs, events
+    procs = [BoundedWriter(params)] + [BoundedReader(pid, params) for pid in range(1, n)]
+    return params, procs, Finished()
 
 
-def pump(procs, max_iters=10_000):
+class Finished(list):
+    """The phases that processors finished, as (pid, phase), in order."""
+
+    def deliver(self, proc, msg):
+        """``proc.on_message(msg)``, noting the phase it finishes, if any."""
+        phase = proc.phase
+        replies = proc.on_message(msg)
+        if proc.phase is not phase:
+            self.append((proc.pid, phase))
+        return replies
+
+    def result(self, pid):
+        """What the last operation of ``pid`` returned, as the simulator
+        reads it: a read that ends on its read phase aborted, any other
+        operation installed its write phase's (ts, value) payload."""
+        phase = next(phase for p, phase in reversed(self) if p == pid)
+        return "abort" if phase.kind == QR_REQ else phase.payload[1]
+
+
+def pump(procs, finished, max_iters=10_000):
     """Deliver every outstanding request instantly until all procs go idle."""
     for _ in range(max_iters):
         for proc in procs:
             msg = proc.next_send()
             guard = 0
             while msg is not None:
-                for reply in procs[msg.dest].on_message(msg):
-                    procs[reply.dest].on_message(reply)
+                for reply in finished.deliver(procs[msg.dest], msg):
+                    finished.deliver(procs[reply.dest], reply)
                 msg = proc.next_send()
                 guard += 1
                 assert guard < 1000, "phase failed to make progress"
@@ -60,7 +73,7 @@ def test_derived_parameters():
 
 def test_writer_queue_holds_k_labels_of_its_universe():
     params = ProtocolParams(5, c=3, r=64)
-    writer = BoundedWriter(params, lambda *event: None)
+    writer = BoundedWriter(params)
     assert writer.epochs.capacity == params.k
     assert writer.epochs.params == params.label_params
 
@@ -73,11 +86,11 @@ def test_params_validation():
 
 
 def test_clean_write_installs_on_all_replicas():
-    params, procs, events = make_system()
+    params, procs, finished = make_system()
     writer = procs[0]
-    writer.start_write("v#1", "w1")
-    pump(procs)
-    assert (WRITER_ID, "write_response", "w1", None) in events
+    writer.start_write("v#1")
+    pump(procs, finished)
+    assert writer.idle and finished.result(WRITER_ID) == "v#1"
     assert writer.ml.seq == 1
     # the install is guaranteed on a majority, not necessarily everyone
     holders = [p for p in procs if p.value == "v#1"]
@@ -87,12 +100,12 @@ def test_clean_write_installs_on_all_replicas():
 
 
 def test_seq_wrap_opens_fresh_epoch():
-    params, procs, events = make_system(r=2)
+    params, procs, finished = make_system(r=2)
     writer = procs[0]
     old_epoch = writer.ml.epoch
     for i in range(1, 4):  # third write exhausts seq bound 2
-        writer.start_write(f"v#{i}", f"w{i}")
-        pump(procs)
+        writer.start_write(f"v#{i}")
+        pump(procs, finished)
     assert writer.ml.seq == 0
     assert writer.ml.epoch != old_epoch
     assert writer.epoch_changes == 1
@@ -100,13 +113,13 @@ def test_seq_wrap_opens_fresh_epoch():
 
 
 def test_writer_overtakes_corrupt_replica():
-    params, procs, events = make_system()
+    params, procs, finished = make_system()
     writer = procs[0]
     rogue = Timestamp(make_label(2, {1, 3, 4, 5, 6, 7, 8, 9}), 5)
     procs[1].ml = rogue
     procs[1].value = "corrupt#1"
-    writer.start_write("v#1", "w1")
-    pump(procs)
+    writer.start_write("v#1")
+    pump(procs, finished)
     assert precedes_e(rogue, writer.ml)
     assert sum(1 for p in procs if p.value == "v#1") >= params.quorum
 
@@ -156,32 +169,32 @@ def test_strictly_old_timestamp_fully_ignored():
 
 
 def test_read_returns_latest_written_value():
-    params, procs, events = make_system()
-    procs[0].start_write("v#1", "w1")
-    pump(procs)
-    procs[1].start_read("r1")
-    pump(procs)
-    assert (1, "read_response", "r1", "v#1") in events
+    params, procs, finished = make_system()
+    procs[0].start_write("v#1")
+    pump(procs, finished)
+    procs[1].start_read()
+    pump(procs, finished)
+    assert finished.result(1) == "v#1"
 
 
 def test_read_aborts_on_incomparable_views():
-    params, procs, events = make_system(n=3)
+    params, procs, finished = make_system(n=3)
     a = Timestamp(make_label(2, {1, 3, 4, 5, 6, 7, 8, 9}), 0)
     b = Timestamp(make_label(3, {1, 2, 4, 5, 6, 7, 8, 9}), 0)
     procs[1].ml, procs[1].value = a, "va"
     procs[2].ml, procs[2].value = b, "vb"
-    procs[1].start_read("r1")
+    procs[1].start_read()
     # force the quorum to be exactly the two divided replicas
     resp = Message(QR_RESP, procs[1].phase.nonce, 2, 1, procs[2].snapshot())
-    procs[1].on_message(resp)
-    assert (1, "read_response", "r1", "__abort__") in events
+    finished.deliver(procs[1], resp)
     assert procs[1].idle
+    assert finished.result(1) == "abort"
 
 
 def test_read_writeback_never_downgrades_replica():
     params, procs, _ = make_system()
     reader = procs[1]
-    reader.start_read("r1")
+    reader.start_read()
     low = Timestamp(reader.ml.epoch, 0)
     reader.phase = None
     reader.ml = Timestamp(reader.ml.epoch, 4)  # newer write arrived meanwhile
@@ -196,7 +209,7 @@ def test_read_writeback_never_downgrades_replica():
 def test_stale_nonce_response_discarded():
     params, procs, _ = make_system()
     writer = procs[0]
-    writer.start_write("v#1", "w1")
+    writer.start_write("v#1")
     bogus = Message(QR_RESP, (1, 999), 1, 0, procs[1].snapshot())
     assert writer.on_message(bogus) == []
     assert len(writer.phase.responses) == 1  # only the self response
@@ -214,31 +227,24 @@ def test_writer_as_member_banks_foreign_epoch():
 
 
 def test_write_reports_its_two_phases():
-    params, procs, events = make_system(n=5)
-    procs[0].start_write("v#1", "w1")
-    pump(procs)
-    phases = [(pid, kind, counts) for pid, event, kind, counts in events
-              if event == "phase_done"]
-    assert [(pid, kind) for pid, kind, _c in phases] == [(0, QR_REQ), (0, QW_REQ)]
-    for _pid, _kind, (requests, responses) in phases:
-        assert responses == params.quorum
-        assert 1 <= requests <= params.n - 1
+    params, procs, finished = make_system(n=5)
+    procs[0].start_write("v#1")
+    pump(procs, finished)
+    assert [(pid, phase.kind) for pid, phase in finished] == [(0, QR_REQ), (0, QW_REQ)]
+    for _pid, phase in finished:
+        assert len(phase.responses) == params.quorum
+        assert 1 <= len(phase.distinct_requests) <= params.n - 1
 
 
 def test_oracle_write_read_cycle():
     params = ProtocolParams(3, k_override=4)
-    events = []
-    rec = lambda pid, kind, op_id, value: events.append(
-        (pid, kind, op_id, value)
-    )
-    procs = [OracleWriter(params, rec)] + [
-        OracleReader(pid, params, rec) for pid in (1, 2)
-    ]
+    procs = [OracleWriter(params)] + [OracleReader(pid, params) for pid in (1, 2)]
+    finished = Finished()
     procs[1].max_seq = 41  # corrupted high value
-    procs[0].start_write("v#1", "w1")
-    pump(procs)
+    procs[0].start_write("v#1")
+    pump(procs, finished)
     assert procs[0].max_seq == 42
-    procs[2].start_read("r1")
-    pump(procs)
-    assert (2, "read_response", "r1", "v#1") in events
+    procs[2].start_read()
+    pump(procs, finished)
+    assert finished.result(2) == "v#1"
     assert procs[2].max_seq == 42

@@ -1,11 +1,15 @@
 import json
 import random
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
+from stabreg import adversary
 from stabreg.checker import find_stabilization, parse_trace
-from stabreg.protocol import INITIAL_VALUE, Message
+from stabreg.protocol import INITIAL_VALUE, QW_REQ, Message
 from stabreg.timestamps import Timestamp
 from stabreg.sim import (
     Potential,
@@ -175,6 +179,16 @@ def test_audit_catches_a_message_planted_mid_run():
         sim._check_audit(0, None)
 
 
+def test_audit_holds_under_python_O():
+    # -O strips assert statements, and the audit must still fail
+    tests = Path(__file__).resolve().parent
+    script = (f"import sys; sys.path[:0] = [{str(tests.parent / 'src')!r}, {str(tests)!r}]; "
+              "import test_sim; test_sim.test_audit_catches_a_message_planted_mid_run()")
+    result = subprocess.run([sys.executable, "-O", "-c", script],
+                            capture_output=True, text=True, timeout=300)
+    assert result.returncode == 0, result.stderr
+
+
 def test_checks_run_after_every_step():
     sim = Simulation(small_config(writes=10, loss_prob=0.1, protocol="oracle"),
                      audit=True)
@@ -305,8 +319,15 @@ def test_potential_catches_a_flat_potential(monkeypatch):
     assert metrics["g_violations"] == []
 
 
-def test_phase_message_bound():
-    _, metrics = run_scenario(small_config(), audit=True)
+@pytest.mark.parametrize("overrides, aborts", [
+    ({}, False),
+    ({"corruption": "random"}, True),
+    ({"corruption": "hidden-epoch"}, True),
+    ({"protocol": "oracle", "corruption": "random"}, False),
+], ids=["none", "random", "hidden-epoch", "oracle-random"])
+def test_phase_message_bound(overrides, aborts):
+    _, metrics = run_scenario(small_config(**overrides), audit=True)
+    assert (metrics["reads_aborted"] > 0) == aborts
     # a phase ends on the quorum-th response, and asks only its n - 1 peers
     assert metrics["max_phase_responses"] == 3
     assert 1 <= metrics["max_phase_requests"] <= 4
@@ -314,6 +335,24 @@ def test_phase_message_bound():
     assert metrics["completed_phases"] == 2 * (
         metrics["writes_completed"] + metrics["reads_completed"]
     ) + metrics["reads_aborted"]
+
+
+def test_a_planted_write_back_records_no_operation(monkeypatch):
+    def plant(sim):
+        # reader 1 starts inside the write phase of a read nobody invoked
+        reader = sim.procs[1]
+        reader._begin_phase(QW_REQ, payload=(reader.ml, reader.value))
+        reader.phase.responses[reader.pid] = True
+
+    monkeypatch.setattr(adversary, "corrupt", plant)
+    lines, metrics = run_scenario(small_config())
+    events = [json.loads(line) for line in lines[1:]]
+    assert all(type(event["op_id"]) is str for event in events)
+    parse_trace(lines)
+    assert metrics["reads_completed"] == sum(
+        event["event"] == "read_response" for event in events)
+    assert metrics["completed_phases"] == 1 + 2 * (
+        metrics["writes_completed"] + metrics["reads_completed"])
 
 
 def test_random_corruption_run_stays_small():
