@@ -12,11 +12,12 @@ behaves like an atomic register.
 
 ``parse_trace`` enforces what the checks rely on and raises ``TraceError``
 otherwise: each non-blank line is one JSON object, each event has integer
-``proc`` and ``step``, a string ``op_id`` and a string or null ``value``,
-invokes and responses alternate per processor, a single processor issues
-every write, no written value repeats and no ``op_id`` is used twice.  It
-also fixes the completion order and maps every read to the
-writer-order index of the value it returned, once per trace.
+``proc`` and ``step``, a string ``op_id``, a string or null ``value`` and,
+if present, a boolean ``abort``; invokes and responses alternate per
+processor, a single processor issues every write, no written value repeats
+and no ``op_id`` is used twice.  It also fixes the completion order and maps
+every read to the writer-order index of the value it returned, once per
+trace.
 
 A suffix's violations only shrink as its start moves right, so each
 violation has a *cut*: the first start index whose suffix no longer holds
@@ -169,6 +170,9 @@ def parse_trace(lines) -> Trace:
             raise TraceError(f"event {pos}: op_id must be a string")
         if value is not None and type(value) is not str:
             raise TraceError(f"event {pos}: value must be a string or null")
+        aborted = event.get("abort", False)
+        if type(aborted) is not bool:
+            raise TraceError(f"event {pos}: abort must be true or false")
         try:
             op_kind, invoke = _KINDS[kind]
         except (KeyError, TypeError):
@@ -208,7 +212,7 @@ def parse_trace(lines) -> Trace:
             op.rank = len(completed)
             completed.append(op)
             if op_kind == "read":
-                op.aborted = bool(event.get("abort"))
+                op.aborted = aborted
                 op.value = value
     for op in completed:
         if op.kind == "read":

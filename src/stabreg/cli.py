@@ -8,6 +8,7 @@ failure, 2 invalid input.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import random
@@ -55,13 +56,25 @@ def cmd_run(args) -> int:
     metrics_path = (
         Path(args.metrics) if args.metrics else out / f"metrics-{config.seed}.json"
     )
-    lines, metrics = run_scenario(config, audit=args.audit)
+    # both outputs are opened before the run; unless the run and both writes
+    # finish, no file that did not exist before is left behind
+    created = [path for path in (trace_path, metrics_path) if not os.path.exists(path)]
+    done = False
     try:
-        trace_path.write_text("\n".join(lines) + "\n")
-        metrics_path.write_text(json.dumps(metrics, sort_keys=True, indent=2) + "\n")
+        with (open(trace_path, "w", encoding="utf-8") as trace_out,
+              open(metrics_path, "w", encoding="utf-8") as metrics_out):
+            lines, metrics = run_scenario(config, audit=args.audit)
+            print(*lines, sep="\n", file=trace_out)
+            metrics_out.write(json.dumps(metrics, sort_keys=True, indent=2) + "\n")
+        done = True
     except OSError as exc:
         print(f"error: cannot write output: {exc}", file=sys.stderr)
         return 2
+    finally:
+        if not done:
+            for path in created:
+                with contextlib.suppress(OSError):  # its open failed first
+                    path.unlink()
     print(f"trace: {trace_path}")
     print(f"metrics: {metrics_path}")
     return 0

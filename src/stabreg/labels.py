@@ -179,7 +179,11 @@ def parse_label(text: str) -> Label:
         antistings = [int(a) for a in anti_part.split(",")]
     except ValueError:
         raise LabelError(f"bad label literal: {text!r}") from None
-    return make_label(sting, antistings)
+    label = make_label(sting, antistings)
+    if len(label.antistings) != len(antistings):
+        repeated = next(a for i, a in enumerate(antistings) if a in antistings[:i])
+        raise LabelError(f"bad label literal: {text!r} repeats antisting {repeated}")
+    return label
 
 
 def all_labels(params: LabelParams) -> Iterable[Label]:

@@ -20,6 +20,8 @@ from .protocol import (QR_REQ, QR_RESP, QW_REQ, WRITER_ID, BoundedReader,
                        BoundedWriter, Message, OracleReader, OracleWriter, ProtocolParams)
 
 CORRUPTION_MODES = tuple(adversary.MODES)
+# one encoder for all trace lines (json.dumps with options makes one per call)
+_encode = json.JSONEncoder(sort_keys=True).encode
 # protocol name -> (writer class, reader class)
 PROTOCOLS = {"bounded": (BoundedWriter, BoundedReader),
              "oracle": (OracleWriter, OracleReader)}
@@ -106,6 +108,8 @@ def parse_scenario(text: str) -> ScenarioConfig:
         key, value = (part.strip() for part in line.split("=", 1))
         if key not in _KEY_TYPES:
             raise ScenarioError(f"line {lineno}: unknown key {key!r}")
+        if key in raw:
+            raise ScenarioError(f"line {lineno}: repeated key {key!r}")
         raw[key] = value
     for key in REQUIRED_KEYS:
         if key not in raw:
@@ -171,7 +175,7 @@ class Simulation:
         self.params = config.protocol_params()
         self.rng = random.Random(config.seed)
         self.step_count = 0
-        self.events: list[dict] = []
+        self.lines: list[str] = []  # the trace, one JSON event per line
         self.crashed: set[int] = set()
         # latest first, so the next crash due is popped off the end
         self._pending_crashes = sorted(config.crashes, reverse=True)
@@ -284,8 +288,8 @@ class Simulation:
             self._event(pid, "read_response", op_id, value=phase.payload[1])
 
     def _event(self, pid: int, kind: str, op_id: str, **fields) -> None:
-        self.events.append({"step": self.step_count, "proc": pid, "event": kind,
-                            "op_id": op_id, **fields})
+        self.lines.append(_encode({"step": self.step_count, "proc": pid, "event": kind,
+                                   "op_id": op_id, **fields}))
 
     # -- the scheduler loop --------------------------------------------
 
@@ -460,14 +464,10 @@ class Potential:
 def run_scenario(config: ScenarioConfig, audit: bool = False):
     """Run one scenario; returns (trace_lines, metrics).
 
-    The first trace line is a header embedding the resolved config; each
-    following line is one invocation/response event.
+    The first line is a header embedding the resolved config; each later
+    line is one invocation/response event, encoded as the run recorded it.
     """
     sim = Simulation(config, audit=audit)
     metrics = sim.run()
-    # one encoder for every line: json.dumps with an option builds a new one
-    # per call
-    encode = json.JSONEncoder(sort_keys=True).encode
-    lines = [encode({"type": "header", "config": scenario_to_dict(config)})]
-    lines += [encode(e) for e in sim.events]
-    return lines, metrics
+    header = _encode({"type": "header", "config": scenario_to_dict(config)})
+    return [header, *sim.lines], metrics

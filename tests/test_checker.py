@@ -98,6 +98,14 @@ def test_parse_rejects_garbage():
             event(2, 1, "read_response", "r", value={"v": 1})]
     with pytest.raises(TraceError, match="event 1: value"):
         parse_trace(read)
+    # a truthy non-boolean abort would hide this stale read from the sweep
+    for abort in ("false", 1, "no", None):
+        stale = [event(1, 0, "write_invoke", "w1", value="v#1"),
+                 event(2, 0, "write_response", "w1"),
+                 event(3, 1, "read_invoke", "r"),
+                 event(4, 1, "read_response", "r", value=INITIAL_VALUE, abort=abort)]
+        with pytest.raises(TraceError, match="event 3: abort must be true or false"):
+            parse_trace(stale)
 
 
 def test_parse_streams_any_iterable():

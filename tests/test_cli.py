@@ -3,6 +3,7 @@ import json
 import pytest
 
 from stabreg.cli import main
+from stabreg.sim import parse_scenario, run_scenario
 
 CLEAN = """\
 n = 5
@@ -29,6 +30,9 @@ def test_run_writes_trace_and_metrics(config_file, tmp_path, capsys):
     assert trace.exists() and metrics.exists()
     assert json.loads(trace.read_text().splitlines()[0])["type"] == "header"
     assert json.loads(metrics.read_text())["writes_completed"] == 10
+    # the lines are written as run_scenario returns them, one per line
+    lines, _metrics = run_scenario(parse_scenario(CLEAN))
+    assert trace.read_bytes() == ("\n".join(lines) + "\n").encode()
 
 
 def test_run_seed_override(config_file, tmp_path):
@@ -60,16 +64,37 @@ def test_run_missing_config(tmp_path, capsys):
     assert "cannot read config" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("where", ["trace-in-missing-dir", "out-is-a-file"])
-def test_run_reports_unwritable_output(config_file, tmp_path, capsys, where):
+def refuse_to_run(*_args, **_kwargs):
+    raise RuntimeError("simulated")
+
+
+def assert_no_outputs(tmp_path):
+    assert not list(tmp_path.rglob("trace-*")) and not list(tmp_path.rglob("metrics-*"))
+
+
+@pytest.mark.parametrize("where", ["trace-in-missing-dir", "metrics-in-missing-dir",
+                                   "out-is-a-file"])
+def test_run_reports_unwritable_output(config_file, tmp_path, capsys, monkeypatch, where):
+    # both outputs are opened before anything is simulated
+    monkeypatch.setattr("stabreg.cli.run_scenario", refuse_to_run)
     if where == "out-is-a-file":
         (tmp_path / "taken").write_text("")
         args = ["--out", str(tmp_path / "taken")]
-    else:
+    elif where == "trace-in-missing-dir":
         args = ["--out", str(tmp_path), "--trace", str(tmp_path / "missing" / "t.jsonl")]
+    else:
+        args = ["--out", str(tmp_path), "--metrics", str(tmp_path / "missing" / "m.json")]
     rc = main(["run", "--config", str(config_file), *args])
     assert rc == 2
     assert "error: cannot write output" in capsys.readouterr().err
+    assert_no_outputs(tmp_path)
+
+
+def test_run_leaves_no_output_when_the_run_fails(config_file, tmp_path, monkeypatch):
+    monkeypatch.setattr("stabreg.cli.run_scenario", refuse_to_run)
+    with pytest.raises(RuntimeError, match="simulated"):
+        main(["run", "--config", str(config_file), "--out", str(tmp_path)])
+    assert_no_outputs(tmp_path)
 
 
 def test_run_invalid_config(tmp_path, capsys):
@@ -173,8 +198,14 @@ def event(step, proc, kind, op_id, **extra):
     ([event(True, 0, "write_invoke", "w1", value="v#1")], "proc and step"),
     ([event(1, 0, "write_invoke", ["w1"], value="v#1")], "op_id must be"),
     ([event(1, 0, "write_invoke", "w1", value=["v#1"])], "value must be"),
+    ([event(1, 0, "write_invoke", "w1", value="v#1"),
+      event(2, 0, "write_response", "w1"),
+      event(3, 1, "read_invoke", "r"),
+      event(4, 1, "read_response", "r", value="v_init", abort="false")],
+     "abort must be"),
 ], ids=["second-writer", "repeated-value", "reused-op-id", "number-line",
-        "list-line", "list-proc", "bool-step", "list-op-id", "list-value"])
+        "list-line", "list-proc", "bool-step", "list-op-id", "list-value",
+        "string-abort"])
 def test_check_rejects_unsupported_trace(tmp_path, capsys, lines, reason):
     assert check_lines(tmp_path, lines) == 2
     captured = capsys.readouterr()
@@ -310,6 +341,9 @@ def test_labels_next(capsys):
 
 def test_labels_bad_literal(capsys):
     assert main(["labels", "--k", "2", "next", "wat"]) == 2
+    for k in ("2", "3"):  # refused under any k, not read as (1|2,3)
+        assert main(["labels", "--k", k, "compare", "(1|3,2,2)", "(5|1,4)"]) == 2
+        assert "repeats antisting 2" in capsys.readouterr().err
 
 
 def test_labels_rejects_k_below_two(capsys):

@@ -268,6 +268,9 @@ def test_format_parse_roundtrip():
     assert parse_label("(4|1,4)") == label
     with pytest.raises(LabelError):
         parse_label("not-a-label")
+    # a repeated antisting is refused, not folded into a shorter set
+    with pytest.raises(LabelError, match="repeats antisting 2"):
+        parse_label("(1|3,2,2)")
 
 
 def test_label_equality_is_structural():

@@ -79,12 +79,13 @@ crashes = 2@100, 4@250
     (BASE + "read_backoff = -7\n", "read_backoff"),
     (BASE + "read_retry_cap = -2\n", "read_retry_cap"),
     (BASE + "read_retry_cap = 0\n", "read_retry_cap"),
-    (BASE + "n = 2\n", "n must be"),
+    (BASE.replace("n = 5", "n = 2"), "n must be"),
     (BASE + "c = 0\n", "c must be"),
     (BASE + "r = 0\n", "r must be"),
-    (BASE + "steps = 0\n", "steps must be"),
-    (BASE + "writes = -1\n", "writes >= 0"),
+    (BASE.replace("steps = 50000", "steps = 0"), "steps must be"),
+    (BASE.replace("writes = 20", "writes = -1"), "writes >= 0"),
     ("n oops\n", "key = value"),
+    (BASE + "n = 7\n", "line 6: repeated key 'n'"),
 ])
 def test_parse_scenario_rejects(text, fragment):
     with pytest.raises(ScenarioError) as excinfo:
@@ -369,3 +370,17 @@ def test_random_corruption_run_stays_small():
         tracemalloc.stop()
     assert metrics["writes_completed"] == 300
     assert peak < 6_000_000, f"peak {peak / 1e6:.1f} MB"
+
+
+def test_run_scenario_holds_one_copy_of_the_trace():
+    # each event is kept once, as its encoded line: a list of event dicts
+    # beside the lines, or a second encoded copy, would double the peak
+    config = ScenarioConfig(n=5, seed=7, steps=400_000, writes=300, c=3)
+    tracemalloc.start()
+    try:
+        lines, metrics = run_scenario(config)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert metrics["writes_completed"] == 300 and len(lines) > 2 * 300
+    assert peak < 2 * held, f"peak {peak / held:.2f} times the {held / 1e6:.2f} MB held"
