@@ -10,12 +10,13 @@ replicas, then install a value on a majority):
   and serves as a reference for the quorum machinery.
 
 State machines are pure per-event transition functions: the simulator owns
-scheduling, feeds one message at a time, and collects emitted replies.  It
-also owns the operations: it names them, writes their trace events, and
-reads each finished phase off the processor.  An operation ends when its
-processor goes idle.  A read aborts when its quorum read phase finds no
-view that dominates the others, so the read phase is the last phase it ran;
-any other operation ends with a write phase, whose payload is the
+scheduling and feeds one message at a time, and each message gets at most
+one reply, which the simulator queues for sending.  It also owns the
+operations: it names them, writes their trace events, and reads each
+finished phase off the processor.  An operation ends when its processor
+goes idle.  A read aborts when its quorum read phase finds no view that
+dominates the others, so the read phase is the last phase it ran; any
+other operation ends with a write phase, whose payload is the
 ``(ts, value)`` it installed.  Phase nonces are simulator plumbing for
 request/response matching and are not part of the protocol's bounded
 state.
@@ -50,6 +51,13 @@ class Message(NamedTuple):
     sender: int
     dest: int
     payload: Any = None
+
+
+# _new(Message, (kind, nonce, sender, dest, payload)) is the same Message as
+# Message(kind, nonce, sender, dest, payload), built without the Python frame
+# of the NamedTuple's generated __new__; the handlers build every request
+# and reply with it
+_new = tuple.__new__
 
 
 @dataclass(frozen=True)
@@ -174,7 +182,7 @@ class QuorumProcessor:
         dest = pending[ph.rr % len(pending)]
         ph.rr += 1
         ph.distinct_requests.add(dest)
-        return Message(ph.kind, ph.nonce, self.pid, dest, ph.payload)
+        return _new(Message, (ph.kind, ph.nonce, self.pid, dest, ph.payload))
 
     @property
     def idle(self) -> bool:
@@ -182,16 +190,17 @@ class QuorumProcessor:
 
     # -- dispatch ------------------------------------------------------
 
-    def on_message(self, msg: Message) -> list[Message]:
+    def on_message(self, msg: Message) -> Optional[Message]:
+        """Take one message; return the one reply to a request, else None."""
         kind = msg.kind
         if kind == QR_REQ:
-            return [Message(QR_RESP, msg.nonce, self.pid, msg.sender, self.snapshot())]
+            return _new(Message, (QR_RESP, msg.nonce, self.pid, msg.sender, self.snapshot()))
         if kind == QW_REQ:
             self.apply_quorum_write(msg.payload)
-            return [Message(QW_ACK, msg.nonce, self.pid, msg.sender)]
+            return _new(Message, (QW_ACK, msg.nonce, self.pid, msg.sender, None))
         ph = self.phase
         if ph is None or msg.nonce != ph.nonce:
-            return []  # no phase in flight, or a stale nonce: discard
+            return None  # no phase in flight, or a stale nonce: discard
         if kind == QR_RESP and ph.kind == QR_REQ:
             ph.responses[msg.sender] = msg.payload
             if len(ph.responses) >= self.params.quorum:
@@ -200,7 +209,7 @@ class QuorumProcessor:
             ph.responses[msg.sender] = True
             if len(ph.responses) >= self.params.quorum:
                 self.on_quorum_write_done()
-        return []
+        return None
 
     # -- hooks ---------------------------------------------------------
 

@@ -73,13 +73,19 @@ class ScenarioConfig:
                 f"corruption {self.corruption!r} has no oracle meaning, "
                 f"want one of {', '.join(adversary.ORACLE_MODES)}"
             )
-        if len({pid for _s, pid in self.crashes}) >= (self.n + 1) // 2:
+        crashing = set()
+        for step, pid in self.crashes:
+            if not 0 <= pid < self.n:
+                raise ScenarioError(f"crash of unknown processor {pid}")
+            if step < 0:
+                raise ScenarioError(f"crash of processor {pid} at negative step {step}")
+            if pid in crashing:
+                raise ScenarioError(f"processor {pid} is scheduled to crash twice")
+            crashing.add(pid)
+        if len(crashing) >= (self.n + 1) // 2:
             raise ScenarioError(
                 "crash schedule must keep a majority of processors alive"
             )
-        for _step, pid in self.crashes:
-            if not 0 <= pid < self.n:
-                raise ScenarioError(f"crash of unknown processor {pid}")
 
     def protocol_params(self) -> ProtocolParams:
         return ProtocolParams(self.n, self.c, self.r, self.k_override or None)
@@ -176,7 +182,9 @@ class Simulation:
         self.rng = random.Random(config.seed)
         self.step_count = 0
         self.lines: list[str] = []  # the trace, one JSON event per line
-        self.crashed: set[int] = set()
+        # the pids not crashed, ascending: each round of the schedule is a
+        # shuffle of this list
+        self._live = list(range(config.n))
         # latest first, so the next crash due is popped off the end
         self._pending_crashes = sorted(config.crashes, reverse=True)
         # messages planted or sent since the last audit, plus those still in
@@ -235,7 +243,7 @@ class Simulation:
         pending, schedule = self._pending_crashes, self._schedule
         while pending and pending[-1][0] <= self.step_count:
             pid = pending.pop()[1]
-            self.crashed.add(pid)
+            self._live.remove(pid)
             if pid in schedule:
                 schedule.remove(pid)
 
@@ -301,11 +309,11 @@ class Simulation:
         receive once.
         """
         cfg = self.config
-        n, c, loss_prob, writes, steps = cfg.n, cfg.c, cfg.loss_prob, cfg.writes, cfg.steps
+        c, loss_prob, writes, steps = cfg.c, cfg.loss_prob, cfg.writes, cfg.steps
         random_, getrandbits = self.rng.random, self.rng.getrandbits
         procs, outboxes, inbound = self.procs, self.outboxes, self._inbound
         toggle, schedule = self._send_toggle, self._schedule
-        pending, crashed, checks = self._pending_crashes, self.crashed, self.checks
+        pending, live, checks = self._pending_crashes, self._live, self.checks
         sends, drops = self.message_sends, self.dropped_messages
         step_count = self.step_count
         while step_count < steps:
@@ -317,7 +325,7 @@ class Simulation:
                 # Round-based fairness floor: every non-crashed processor
                 # appears once per shuffled round, so any window of 2 * n
                 # steps covers all.  Fisher-Yates, as random.shuffle draws.
-                schedule.extend([p for p in range(n) if p not in crashed])
+                schedule.extend(live)
                 for i in range(len(schedule) - 1, 0, -1):
                     j = _below(getrandbits, i + 1)
                     schedule[i], schedule[j] = schedule[j], schedule[i]
@@ -347,22 +355,23 @@ class Simulation:
             else:
                 # mostly drain nonempty links, but keep null receives possible
                 boxes = inbound[pid]
-                nonempty = [box for box in boxes if box]
+                nonempty = list(filter(None, boxes))
                 if nonempty and random_() < 0.9:
                     box = nonempty[_below(getrandbits, len(nonempty))]
                 else:
                     box = boxes[_below(getrandbits, len(boxes))]
                 if box:  # else a null message
                     phase = proc.phase
-                    outbox.extend(proc.on_message(box.pop(_below(getrandbits, len(box)))))
+                    reply = proc.on_message(box.pop(_below(getrandbits, len(box))))
+                    if reply is not None:
+                        outbox.append(reply)
                     if proc.phase is not phase:
                         self._phase_done(pid, proc, phase)
 
-            for check in checks:
-                check(pid, msg)
-            if self.writes_done >= writes and all(
-                p.idle for i, p in enumerate(procs) if i not in crashed
-            ):
+            if checks:
+                for check in checks:
+                    check(pid, msg)
+            if self.writes_done >= writes and all(procs[i].idle for i in live):
                 break
         self.message_sends, self.dropped_messages = sends, drops
         return self.metrics()
@@ -397,7 +406,7 @@ class Simulation:
             "completed_phases": self.completed_phases,
             "g_violations": potential.violations if potential else [],
             "g_strict_violations": potential.strict_violations if potential else [],
-            "crashed": sorted(self.crashed),
+            "crashed": [pid for pid in range(self.config.n) if pid not in self._live],
         }
 
 

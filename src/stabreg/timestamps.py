@@ -44,7 +44,7 @@ def precedes_e(a: MaybeTimestamp, b: MaybeTimestamp) -> bool:
 
 def dominates(a: MaybeTimestamp, b: MaybeTimestamp) -> bool:
     """Non-strict: b is bottom, equal to a, or strictly below a."""
-    return b is None or a == b or precedes_e(b, a)
+    return b is None or a is b or a == b or precedes_e(b, a)
 
 
 class EpochsQueue:

@@ -13,6 +13,7 @@ from stabreg.protocol import (
     ProtocolParams,
     QR_REQ,
     QR_RESP,
+    QW_ACK,
     QW_REQ,
     WRITER_ID,
 )
@@ -31,10 +32,10 @@ class Finished(list):
     def deliver(self, proc, msg):
         """``proc.on_message(msg)``, noting the phase it finishes, if any."""
         phase = proc.phase
-        replies = proc.on_message(msg)
+        reply = proc.on_message(msg)
         if proc.phase is not phase:
             self.append((proc.pid, phase))
-        return replies
+        return reply
 
     def result(self, pid):
         """What the last operation of ``pid`` returned, as the simulator
@@ -51,8 +52,9 @@ def pump(procs, finished, max_iters=10_000):
             msg = proc.next_send()
             guard = 0
             while msg is not None:
-                for reply in finished.deliver(procs[msg.dest], msg):
-                    finished.deliver(procs[reply.dest], reply)
+                reply = finished.deliver(procs[msg.dest], msg)
+                if reply is not None:
+                    assert finished.deliver(procs[reply.dest], reply) is None
                 msg = proc.next_send()
                 guard += 1
                 assert guard < 1000, "phase failed to make progress"
@@ -211,7 +213,7 @@ def test_stale_nonce_response_discarded():
     writer = procs[0]
     writer.start_write("v#1")
     bogus = Message(QR_RESP, (1, 999), 1, 0, procs[1].snapshot())
-    assert writer.on_message(bogus) == []
+    assert writer.on_message(bogus) is None
     assert len(writer.phase.responses) == 1  # only the self response
 
 
@@ -220,10 +222,41 @@ def test_writer_as_member_banks_foreign_epoch():
     writer = procs[0]
     foreign = Timestamp(make_label(2, {1, 3, 4, 5, 6, 7, 8, 9}), 0)
     before = writer.ml
-    replies = writer.on_message(Message(QW_REQ, (1, 1), 1, 0, (foreign, "x")))
+    reply = writer.on_message(Message(QW_REQ, (1, 1), 1, 0, (foreign, "x")))
     assert writer.ml == before  # the writer never adopts
     assert foreign.epoch in writer.epochs
-    assert len(replies) == 1 and replies[0].kind == "QW_ACK"
+    assert reply == Message(QW_ACK, (1, 1), 0, 1)
+
+
+@pytest.mark.parametrize("protocol", ["bounded", "oracle"])
+def test_on_message_answers_requests_only(protocol):
+    params = ProtocolParams(3, k_override=8)
+    if protocol == "bounded":
+        writer, reader = BoundedWriter(params), BoundedReader(2, params)
+    else:
+        writer, reader = OracleWriter(params), OracleReader(2, params)
+    writer.start_write("v#1")
+    nonce = writer.phase.nonce
+    # a request gets exactly one reply, to its sender, under its nonce
+    reply = reader.on_message(Message(QR_REQ, nonce, 0, 2))
+    assert type(reply) is Message
+    assert reply == Message(QR_RESP, nonce, 2, 0, reader.snapshot())
+    payload = (writer.snapshot()[0], "v#1")
+    reply = reader.on_message(Message(QW_REQ, nonce, 0, 2, payload))
+    assert type(reply) is Message
+    assert reply == Message(QW_ACK, nonce, 2, 0)
+    # a response or an ack gets none, also when it ends the phase
+    assert writer.on_message(Message(QR_RESP, nonce, 2, 0, reader.snapshot())) is None
+    assert writer.phase.kind == QW_REQ
+    stale, nonce = nonce, writer.phase.nonce
+    assert writer.on_message(Message(QW_ACK, nonce, 2, 0)) is None
+    assert writer.idle
+    # and so does one under a stale nonce, or with no phase in flight
+    writer.start_write("v#2")
+    assert writer.on_message(Message(QR_RESP, stale, 1, 0, reader.snapshot())) is None
+    assert writer.on_message(Message(QW_ACK, nonce, 1, 0)) is None
+    assert len(writer.phase.responses) == 1
+    assert reader.on_message(Message(QW_ACK, (2, 1), 1, 2)) is None
 
 
 def test_write_reports_its_two_phases():

@@ -70,6 +70,8 @@ crashes = 2@100, 4@250
     (BASE + "crashes = 1:100\n", "crash entry"),
     (BASE + "loss_prob = 1.0\n", "loss_prob"),
     (BASE + "crashes = 1@5, 2@5, 3@5\n", "majority"),
+    (BASE + "crashes = 2@-5\n", "negative step"),
+    (BASE + "crashes = 2@5, 2@9\n", "processor 2 is scheduled to crash twice"),
     (BASE + "corruption = alien\n", "corruption"),
     (BASE + "protocol = paxos\n", "protocol"),
     (BASE + "protocol = oracle\ncorruption = near-wrap\n", "no oracle meaning"),
@@ -223,6 +225,30 @@ def test_fisher_yates_loop_draws_as_shuffle():
             b.shuffle(theirs)
             assert mine == theirs, (seed, length)
             assert a.getstate() == b.getstate(), (seed, length)
+
+
+class TwoDraws:
+    """An RNG stand-in with only the two draws the scheduler loop may use."""
+
+    __slots__ = ("random", "getrandbits")
+
+    def __init__(self, rng: random.Random):
+        self.random, self.getrandbits = rng.random, rng.getrandbits
+
+
+@pytest.mark.parametrize("overrides", [
+    {"corruption": "random"},
+    {"loss_prob": 0.1, "crashes": [(300, 3)]},
+    {"protocol": "oracle", "corruption": "random"},
+])
+def test_run_draws_only_random_and_getrandbits(overrides):
+    config = small_config(writes=10, **overrides)
+    lines, _metrics = run_scenario(config)
+    # the corrupted start may also draw through randint and sample, the loop may not
+    sim = Simulation(config)
+    sim.rng = TwoDraws(sim.rng)
+    sim.run()
+    assert sim.lines == lines[1:]
 
 
 def test_lossy_links_still_make_progress():
