@@ -1,12 +1,13 @@
 """Corrupted starts: the register must recover from any initial configuration.
 
-``corrupt(sim)`` overwrites the clean processors and the empty links that
-``Simulation.__init__`` has just built, as the scenario's mode in ``MODES``
-says, drawing only from ``sim.rng``: a run stays a function of (scenario,
-seed).  The oracle protocol has plain sequence numbers and no labels, so it
-has only the modes in ``ORACLE_MODES``: ``random`` starts its processors
-from random sequence numbers.  The label generators are called through the
-``labels`` module, so that a tool rebinding them there sees these calls.
+Each mode takes the ``Simulation`` whose clean processors and empty links
+``Simulation.__init__`` has just built, and overwrites them, drawing only
+from ``sim.rng``: a run stays a function of (scenario, seed).
+``stabreg.sim.PROTOCOLS`` picks each protocol's mode table.  The oracle
+protocol has plain sequence numbers and no labels, so it has only the modes
+in ``ORACLE_MODES``: ``random`` starts its processors from random sequence
+numbers.  The label generators are called through the ``labels`` module,
+so that a tool rebinding them there sees these calls.
 """
 
 from __future__ import annotations
@@ -91,9 +92,3 @@ MODES = {
 
 
 ORACLE_MODES = {NONE: MODES[NONE], "random": _random_seqs}
-
-
-def corrupt(sim) -> None:
-    """Overwrite the clean start of ``sim`` as its scenario's mode says."""
-    modes = ORACLE_MODES if sim.config.protocol == "oracle" else MODES
-    modes[sim.config.corruption](sim)

@@ -12,10 +12,11 @@ behaves like an atomic register.
 
 ``parse_trace`` enforces what the checks rely on and raises ``TraceError``
 otherwise: each non-blank line is one JSON object, each event has integer
-``proc`` and ``step``, a string ``op_id``, a string or null ``value`` and,
-if present, a boolean ``abort``; invokes and responses alternate per
-processor, a single processor issues every write, no written value repeats
-and no ``op_id`` is used twice.  It also fixes the completion order and maps
+``proc`` and ``step``, a string ``op_id`` and a string or null ``value``,
+and only a read response may carry ``abort``, a boolean; a write invoke
+and a read response that does not abort carry a string ``value``; invokes
+and responses alternate per processor, a single processor issues every
+write, no written value repeats and no ``op_id`` is used twice.  It also fixes the completion order and maps
 every read to the writer-order index of the value it returned, once per
 trace.
 
@@ -135,7 +136,7 @@ def parse_trace(lines) -> Trace:
     decoded as it is reached and the error positions count blank lines.
     """
     config: dict = {}
-    ops: dict[str, Operation] = {}
+    op_ids: set[str] = set()
     order: list[Operation] = []
     completed: list[Operation] = []
     writes: list[Operation] = []
@@ -177,16 +178,20 @@ def parse_trace(lines) -> Trace:
             op_kind, invoke = _KINDS[kind]
         except (KeyError, TypeError):
             raise TraceError(f"event {pos}: unknown event kind {kind!r}") from None
+        if "abort" in event and kind != "read_response":
+            raise TraceError(f"event {pos}: a {kind} cannot abort")
         if invoke:
             if proc in pending:
                 raise TraceError(
                     f"event {pos}: processor {proc} invoked {op_id} while "
                     f"{pending[proc].op_id} is outstanding"
                 )
-            if op_id in ops:
+            if op_id in op_ids:
                 raise TraceError(f"event {pos}: op_id {op_id} is used twice")
             op = Operation(op_id, proc, op_kind, pos, step, value)
             if op_kind == "write":
+                if value is None:
+                    raise TraceError(f"event {pos}: write {op_id} has no value")
                 if writes and writes[0].proc != proc:
                     raise TraceError(
                         f"event {pos}: processor {proc} writes, but processor "
@@ -198,12 +203,12 @@ def parse_trace(lines) -> Trace:
                     )
                 op.widx = widx_of[value] = len(writes)
                 writes.append(op)
-            ops[op_id] = op
+            op_ids.add(op_id)
             order.append(op)
             pending[proc] = op
         else:
             op = pending.pop(proc, None)
-            if op is None or op.op_id != op_id:
+            if op is None or op.op_id != op_id or op.kind != op_kind:
                 raise TraceError(
                     f"event {pos}: response {op_id} without matching invocation"
                 )
@@ -212,6 +217,8 @@ def parse_trace(lines) -> Trace:
             op.rank = len(completed)
             completed.append(op)
             if op_kind == "read":
+                if value is None and not aborted:
+                    raise TraceError(f"event {pos}: read {op_id} returns no value")
                 op.aborted = aborted
                 op.value = value
     for op in completed:

@@ -21,13 +21,6 @@ from .labels import LabelError, LabelParams, format_label, next_label, parse_lab
 from .sim import ScenarioError, parse_scenario, run_scenario
 
 
-def _out_dir(args) -> Path:
-    out = os.environ.get("STABREG_OUT") or args.out or "."
-    path = Path(out)
-    path.mkdir(parents=True, exist_ok=True)
-    return path
-
-
 def cmd_run(args) -> int:
     try:
         config = parse_scenario(Path(args.config).read_text(encoding="utf-8"))
@@ -47,15 +40,20 @@ def cmd_run(args) -> int:
             print(f"error: STABREG_SEED must be an integer, got {seed_env!r}",
                   file=sys.stderr)
             return 2
-    try:
-        out = _out_dir(args)
-    except OSError as exc:
-        print(f"error: cannot write output: {exc}", file=sys.stderr)
-        return 2
+    out = Path(os.environ.get("STABREG_OUT") or args.out or ".")
     trace_path = Path(args.trace) if args.trace else out / f"trace-{config.seed}.jsonl"
     metrics_path = (
         Path(args.metrics) if args.metrics else out / f"metrics-{config.seed}.json"
     )
+    if os.path.realpath(trace_path) == os.path.realpath(metrics_path):
+        print(f"error: trace and metrics would both be written to {trace_path}",
+              file=sys.stderr)
+        return 2
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
+        return 2
     # both outputs are opened before the run; unless the run and both writes
     # finish, no file that did not exist before is left behind
     created = [path for path in (trace_path, metrics_path) if not os.path.exists(path)]

@@ -57,10 +57,11 @@ def finder_step(
 
 
 class HiderStrategy:
-    """Base hider: expose a witness from the hidden set, optionally mutate it.
+    """The static hider: expose the first witness, keep the hidden set.
 
-    Subclasses override ``mutate`` to change the hidden set after exposing;
-    the exposed label always genuinely violates dominance.
+    Subclasses override ``pick_witness`` and ``mutate`` to change the hidden
+    set after exposing; the exposed label always genuinely violates
+    dominance.
     """
 
     name = "static"
@@ -82,10 +83,6 @@ class HiderStrategy:
 
     def mutate(self, exposed: Label, finder_label: Label) -> None:
         pass
-
-
-class StaticHider(HiderStrategy):
-    name = "static"
 
 
 class RandomReplaceHider(HiderStrategy):
@@ -135,7 +132,7 @@ class MaxIncomparableHider(HiderStrategy):
 
 STRATEGIES = {
     cls.name: cls
-    for cls in (StaticHider, RandomReplaceHider, InsertFinderHider, MaxIncomparableHider)
+    for cls in (HiderStrategy, RandomReplaceHider, InsertFinderHider, MaxIncomparableHider)
 }
 
 
@@ -154,13 +151,13 @@ def make_hider(name: str, m: int, rng: random.Random, params: LabelParams) -> Hi
 def play(
     hider: HiderStrategy,
     m: int,
-    max_rounds: Optional[int] = None,
     seed: int = 0,
     params: Optional[LabelParams] = None,
     queue_capacity: Optional[int] = None,
     check_queue_front: bool = False,
 ) -> GameResult:
-    """Run one game; the finder wins at the first round the hider stays silent.
+    """Run one game; the finder wins at the first round the hider stays
+    silent, and loses if it has not won after 4(m + 1) rounds.
 
     ``queue_capacity`` (1..k, default 2m) below 2m deliberately cripples the
     finder (negative control).  The finder's queue starts corrupted with
@@ -173,8 +170,6 @@ def play(
     capacity = queue_capacity if queue_capacity is not None else 2 * m
     if not 1 <= capacity <= params.k:
         raise GameError(f"queue capacity must be in 1..{params.k}, got {capacity}")
-    if max_rounds is None:
-        max_rounds = 4 * (m + 1)
     rng = random.Random(seed)
     queue = EpochsQueue(capacity, params)
     for _ in range(rng.randint(0, capacity)):
@@ -183,7 +178,8 @@ def play(
     transcript: list[RoundRecord] = []
     prev: Optional[Label] = None
     response: Optional[Label] = None
-    for rnd in range(1, max_rounds + 1):
+    rounds = 4 * (m + 1)
+    for rnd in range(1, rounds + 1):
         label = finder_step(queue, prev, response)
         if check_queue_front:
             _assert_queue_front(queue, transcript)
@@ -194,7 +190,7 @@ def play(
         if response is None:
             return GameResult(True, rnd, rnd, transcript)
         prev = label
-    return GameResult(False, None, max_rounds, transcript)
+    return GameResult(False, None, rounds, transcript)
 
 
 def _assert_queue_front(queue, transcript):

@@ -201,13 +201,13 @@ def random_label(rng, params: LabelParams) -> Label:
 
 
 def incomparable_family(
-    size: int, params: LabelParams, rng=None, sting_pool: Optional[range] = None
+    size: int, params: LabelParams, rng, sting_pool: Optional[range] = None
 ) -> list[Label]:
     """Craft ``size`` pairwise-incomparable labels (size <= k).
 
     Every label's antistings contain all the family's stings, so each
-    direction of the order is blocked for every pair.  ``sting_pool``
-    restricts where stings are drawn from (default: the whole universe).
+    direction of the order is blocked for every pair.  The stings are drawn
+    with ``rng`` from ``sting_pool`` (default: the whole universe).
     """
     k = params.k
     K = params.universe_size
@@ -216,6 +216,6 @@ def incomparable_family(
     pool = sting_pool if sting_pool is not None else range(1, K + 1)
     if size > len(pool):
         raise LabelError("sting pool too small for requested family")
-    stings = list(pool)[:size] if rng is None else rng.sample(pool, size)
+    stings = rng.sample(pool, size)
     _top, antistings = _padded(set(stings), k)
     return [Label(s, antistings) for s in stings]

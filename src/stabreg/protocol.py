@@ -73,7 +73,7 @@ class ProtocolParams:
     n: int
     c: int = 1
     r: int = 64
-    k_override: Optional[int] = None
+    k_override: int = 0  # 0: derived from n and c
 
     def __post_init__(self):
         if self.n < 3:
@@ -87,7 +87,7 @@ class ProtocolParams:
 
     @property
     def k(self) -> int:
-        return self.k_override if self.k_override else 2 * self.hidden_epoch_bound
+        return self.k_override or 2 * self.hidden_epoch_bound
 
     @property
     def label_params(self) -> LabelParams:

@@ -19,12 +19,8 @@ from . import adversary
 from .protocol import (QR_REQ, QR_RESP, QW_REQ, WRITER_ID, BoundedReader,
                        BoundedWriter, Message, OracleReader, OracleWriter, ProtocolParams)
 
-CORRUPTION_MODES = tuple(adversary.MODES)
 # one encoder for all trace lines (json.dumps with options makes one per call)
 _encode = json.JSONEncoder(sort_keys=True).encode
-# protocol name -> (writer class, reader class)
-PROTOCOLS = {"bounded": (BoundedWriter, BoundedReader),
-             "oracle": (OracleWriter, OracleReader)}
 
 
 class ScenarioError(ValueError):
@@ -64,14 +60,15 @@ class ScenarioConfig:
             raise ScenarioError("read_retry_cap must be >= 1")
         if not 0.0 <= self.loss_prob < 1.0:
             raise ScenarioError("loss_prob must be in [0, 1) to preserve fairness")
-        if self.corruption not in CORRUPTION_MODES:
+        if self.corruption not in adversary.MODES:
             raise ScenarioError(f"unknown corruption mode {self.corruption!r}")
         if self.protocol not in PROTOCOLS:
             raise ScenarioError(f"unknown protocol {self.protocol!r}")
-        if self.protocol == "oracle" and self.corruption not in adversary.ORACLE_MODES:
+        modes = PROTOCOLS[self.protocol][2]
+        if self.corruption not in modes:
             raise ScenarioError(
-                f"corruption {self.corruption!r} has no oracle meaning, "
-                f"want one of {', '.join(adversary.ORACLE_MODES)}"
+                f"corruption {self.corruption!r} has no {self.protocol} meaning, "
+                f"want one of {', '.join(modes)}"
             )
         crashing = set()
         for step, pid in self.crashes:
@@ -86,9 +83,6 @@ class ScenarioConfig:
             raise ScenarioError(
                 "crash schedule must keep a majority of processors alive"
             )
-
-    def protocol_params(self) -> ProtocolParams:
-        return ProtocolParams(self.n, self.c, self.r, self.k_override or None)
 
 
 _FIELDS = dataclasses.fields(ScenarioConfig)
@@ -178,7 +172,7 @@ class Simulation:
     def __init__(self, config: ScenarioConfig, audit: bool = False):
         config.validate()
         self.config = config
-        self.params = config.protocol_params()
+        self.params = ProtocolParams(config.n, config.c, config.r, config.k_override)
         self.rng = random.Random(config.seed)
         self.step_count = 0
         self.lines: list[str] = []  # the trace, one JSON event per line
@@ -204,9 +198,12 @@ class Simulation:
         self._send_toggle = [False] * n
         self._schedule: list[int] = []
 
-        self.procs = self._build_processors()
-        adversary.corrupt(self)
-        self.potential = Potential(self) if config.protocol == "oracle" else None
+        writer, reader, modes, potential = PROTOCOLS[config.protocol]
+        # the clean start, then the scenario's corruption of it
+        self.procs = [writer(self.params)] + [reader(pid, self.params)
+                                             for pid in range(1, n)]
+        modes[config.corruption](self)
+        self.potential = potential(self) if potential is not None else None
         # called as check(pid, msg) after every step, msg being the message
         # sent in that step or None
         self.checks = [self.potential.check] if self.potential is not None else []
@@ -215,7 +212,6 @@ class Simulation:
             self.checks.append(self._check_audit)
 
         self.writes_done = 0
-        self._write_counter = 0
         self._read_counters = [0] * n
         # the operation each processor runs, None if idle or never invoked
         self._op_ids: list[str | None] = [None] * n
@@ -228,14 +224,6 @@ class Simulation:
         self.completed_phases = 0
         self.max_phase_requests = 0
         self.max_phase_responses = 0
-
-    # -- construction --------------------------------------------------
-
-    def _build_processors(self):
-        """The clean start: every processor at its initial state."""
-        writer, reader = PROTOCOLS[self.config.protocol]
-        return [writer(self.params)] + [
-            reader(pid, self.params) for pid in range(1, self.config.n)]
 
     # -- scheduling ----------------------------------------------------
 
@@ -250,10 +238,12 @@ class Simulation:
     def _poll_client(self, pid: int, proc):
         """Start the next operation of an idle processor, if one is due."""
         if pid == WRITER_ID:
-            if self._write_counter >= self.config.writes:
+            # the writer is idle only between writes, so every write it
+            # invoked has completed
+            if self.writes_done >= self.config.writes:
                 return
-            self._write_counter += 1
-            op_id, value = f"w{self._write_counter}", f"v#{self._write_counter}"
+            w = self.writes_done + 1
+            op_id, value = f"w{w}", f"v#{w}"
             self._event(pid, "write_invoke", op_id, value=value)
             proc.start_write(value)
         else:
@@ -468,6 +458,12 @@ class Potential:
         self._phase = phase
         self._seq = writer.max_seq
         self._g = g
+
+
+# protocol name -> (writer class, reader class, corruption modes, the check
+# built on the run's start and called after every step, or None)
+PROTOCOLS = {"bounded": (BoundedWriter, BoundedReader, adversary.MODES, None),
+             "oracle": (OracleWriter, OracleReader, adversary.ORACLE_MODES, Potential)}
 
 
 def run_scenario(config: ScenarioConfig, audit: bool = False):

@@ -97,6 +97,23 @@ def test_run_leaves_no_output_when_the_run_fails(config_file, tmp_path, monkeypa
     assert_no_outputs(tmp_path)
 
 
+@pytest.mark.parametrize("where", ["explicit-pair", "metrics-named-as-default-trace"])
+def test_run_rejects_one_path_for_both_outputs(config_file, tmp_path, capsys, where):
+    # the metrics would overwrite the trace in the one file
+    if where == "explicit-pair":
+        same = tmp_path / "same.out"
+        args = ["--trace", str(same), "--metrics", str(same)]
+    else:
+        out = tmp_path / "out"
+        args = ["--out", str(out), "--metrics", str(out / "trace-3.jsonl")]
+    before = sorted(tmp_path.rglob("*"))
+    rc = main(["run", "--config", str(config_file), *args])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == "" and "error: " in captured.err
+    assert sorted(tmp_path.rglob("*")) == before
+
+
 def test_run_invalid_config(tmp_path, capsys):
     bad = tmp_path / "bad.cfg"
     bad.write_text("n = 5\n")  # missing required keys
@@ -203,9 +220,37 @@ def event(step, proc, kind, op_id, **extra):
       event(3, 1, "read_invoke", "r"),
       event(4, 1, "read_response", "r", value="v_init", abort="false")],
      "abort must be"),
+    ([event(1, 0, "write_invoke", "w1"),
+      event(2, 0, "write_response", "w1")], "has no value"),
+    ([event(1, 0, "write_invoke", "w1", value=None),
+      event(2, 0, "write_response", "w1")], "has no value"),
+    ([event(1, 0, "write_invoke", "w1", value="v#1"),
+      event(2, 0, "write_response", "w1"),
+      event(3, 1, "read_invoke", "r"),
+      event(4, 1, "read_response", "r")], "returns no value"),
+    ([event(1, 0, "write_invoke", "w1", value="v#1"),
+      event(2, 0, "write_response", "w1"),
+      event(3, 1, "read_invoke", "r"),
+      event(4, 1, "read_response", "r", value=None, abort=False)], "returns no value"),
+    ([event(1, 0, "write_invoke", "w1", value="v#1"),
+      event(2, 0, "write_response", "w1", abort=True)], "cannot abort"),
+    ([event(1, 0, "write_invoke", "w1", value="v#1", abort=False),
+      event(2, 0, "write_response", "w1")], "cannot abort"),
+    ([event(1, 0, "write_invoke", "w1", value="v#1"),
+      event(2, 0, "write_response", "w1"),
+      event(3, 1, "read_invoke", "r", abort=True),
+      event(4, 1, "read_response", "r", value="v#1")], "cannot abort"),
+    ([event(1, 0, "write_invoke", "w1", value="v#1"),
+      event(2, 0, "read_response", "w1", value="v#9")], "without matching invocation"),
+    ([event(1, 0, "write_invoke", "w1", value="v#1"),
+      event(2, 1, "read_invoke", "r"),
+      event(3, 1, "write_response", "r")], "without matching invocation"),
 ], ids=["second-writer", "repeated-value", "reused-op-id", "number-line",
         "list-line", "list-proc", "bool-step", "list-op-id", "list-value",
-        "string-abort"])
+        "string-abort", "write-without-value", "write-of-null",
+        "read-without-value", "unaborted-read-of-null", "aborted-write",
+        "abort-key-on-write-invoke", "aborted-read-invoke", "write-ended-as-read",
+        "read-ended-as-write"])
 def test_check_rejects_unsupported_trace(tmp_path, capsys, lines, reason):
     assert check_lines(tmp_path, lines) == 2
     captured = capsys.readouterr()

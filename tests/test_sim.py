@@ -364,15 +364,18 @@ def test_phase_message_bound(overrides, aborts):
     ) + metrics["reads_aborted"]
 
 
-def test_a_planted_write_back_records_no_operation(monkeypatch):
+@pytest.mark.parametrize("pid", [1, 0], ids=["reader", "writer"])
+def test_a_planted_write_back_records_no_operation(monkeypatch, pid):
     def plant(sim):
-        # reader 1 starts inside the write phase of a read nobody invoked
-        reader = sim.procs[1]
-        reader._begin_phase(QW_REQ, payload=(reader.ml, reader.value))
-        reader.phase.responses[reader.pid] = True
+        # the processor starts inside the write phase of an operation
+        # nobody invoked
+        proc = sim.procs[pid]
+        proc._begin_phase(QW_REQ, payload=(proc.ml, proc.value))
+        proc.phase.responses[proc.pid] = True
 
-    monkeypatch.setattr(adversary, "corrupt", plant)
-    lines, metrics = run_scenario(small_config())
+    monkeypatch.setitem(adversary.MODES, adversary.NONE, plant)
+    config = small_config()
+    lines, metrics = run_scenario(config)
     events = [json.loads(line) for line in lines[1:]]
     assert all(type(event["op_id"]) is str for event in events)
     parse_trace(lines)
@@ -380,6 +383,10 @@ def test_a_planted_write_back_records_no_operation(monkeypatch):
         event["event"] == "read_response" for event in events)
     assert metrics["completed_phases"] == 1 + 2 * (
         metrics["writes_completed"] + metrics["reads_completed"])
+    # the planted phase is not a write: the writer's first real one is w1
+    first = next(event for event in events if event["event"] == "write_invoke")
+    assert (first["op_id"], first["value"]) == ("w1", "v#1")
+    assert metrics["writes_completed"] == config.writes
 
 
 def test_random_corruption_run_stays_small():
