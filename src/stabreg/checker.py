@@ -5,10 +5,10 @@ linearizable exactly when (a) every read returns a value that is not older
 than the last write completed before the read began and was invoked before
 the read ended, (b) reads never invert the writer order across a
 happens-before edge, and (c) the reads of values that no write wrote all
-return the same value, the register's one initial value.  The checks run
-over any suffix of the trace in completed-operation order, which lets
-``find_stabilization`` locate the earliest point from which the system
-behaves like an atomic register.
+return the same value, the register's one initial value.
+``find_stabilization`` is the one check: it locates the earliest point in
+completed-operation order from which the system behaves like an atomic
+register.
 
 ``parse_trace`` enforces what the checks rely on and raises ``TraceError``
 otherwise: each non-blank line is one JSON object, each event has integer
@@ -20,9 +20,10 @@ write, no written value repeats and no ``op_id`` is used twice.  It also fixes t
 every read to the writer-order index of the value it returned, once per
 trace.
 
-A suffix's violations only shrink as its start moves right, so each
-violation has a *cut*: the first start index whose suffix no longer holds
-it.  For a read at completion index i:
+The suffix from completion index s keeps the operations completed at s or
+later, and every write keeps its writer-order index.  Its violations only
+shrink as s moves right, so each violation has a *cut*: the first s whose
+suffix no longer holds it.  For a read at completion index i:
 
 * stale (regularity): 1 + the index of the last write completed before the
   read was invoked;
@@ -227,12 +228,12 @@ def parse_trace(lines) -> Trace:
     return Trace(config, order, completed, writes)
 
 
-def _violations(trace: Trace, suffix_start: int) -> Iterator[tuple[Violation, int]]:
-    """Each violation of the suffix with its cut, read by read in invocation
+def _violations(trace: Trace) -> Iterator[tuple[Violation, int]]:
+    """Each violation of the trace with its cut, read by read in invocation
     order: a read's regularity violation first, then its inversion, then its
     initial-value conflict."""
     completed, writes = trace.completed, trace.writes
-    i = suffix_start  # completed[suffix_start:i] ended before this read began
+    i = 0  # completed[:i] ended before this read began
     latest: Optional[Operation] = None  # the last write among them
     best: Optional[Operation] = None  # the first read among them with max widx
     # the staircase: -widx rising (widx strictly falling), rank rising
@@ -243,8 +244,8 @@ def _violations(trace: Trace, suffix_start: int) -> Iterator[tuple[Violation, in
     top: Optional[Operation] = None
     other: Optional[Operation] = None
     for read in trace.operations:
-        if read.kind != "read" or read.aborted or read.rank < suffix_start:
-            continue  # a write, an aborted, pending (rank -1) or pre-suffix read
+        if read.kind != "read" or read.aborted or read.rank < 0:
+            continue  # a write, an aborted or a pending read
         while i < len(completed) and completed[i].response_pos < read.invoke_pos:
             prev = completed[i]
             i += 1
@@ -295,25 +296,29 @@ def _violations(trace: Trace, suffix_start: int) -> Iterator[tuple[Violation, in
                 other = read
 
 
-def check_regularity(trace: Trace, suffix_start: int = 0) -> list[Violation]:
+# ``find_stabilization`` is the one check.  The three filters below have no
+# caller in the package: they stay only because ``perfbench/spans.py`` wraps
+# them by name.
+
+
+def check_regularity(trace: Trace) -> list[Violation]:
     """Reads must return the latest completed write's value, or newer.
 
-    Values written before the suffix (or by nothing at all: the initial or a
-    corrupted value) are tolerated only until the first in-suffix write
-    completes before the read begins.
+    Until a write completes before it begins, a read may return any value
+    not written only after it ended: the initial value, a corrupted one, or
+    one written before the trace's first completed operation.
     """
-    return [v for v, _c in _violations(trace, suffix_start) if v.rule == "regularity"]
+    return [v for v, _c in _violations(trace) if v.rule == "regularity"]
 
 
-def check_no_inversion(trace: Trace, suffix_start: int = 0) -> list[Violation]:
+def check_no_inversion(trace: Trace) -> list[Violation]:
     """Across a happens-before edge, reads must not go back in writer order."""
-    return [v for v, _c in _violations(trace, suffix_start)
-            if v.rule == "new-old-inversion"]
+    return [v for v, _c in _violations(trace) if v.rule == "new-old-inversion"]
 
 
-def check_suffix(trace: Trace, suffix_start: int = 0) -> list[Violation]:
-    """Every violation of the suffix, read by read in invocation order."""
-    return [v for v, _c in _violations(trace, suffix_start)]
+def check_suffix(trace: Trace) -> list[Violation]:
+    """Every violation of the trace, read by read in invocation order."""
+    return [v for v, _c in _violations(trace)]
 
 
 def find_stabilization(trace: Trace, metrics: Optional[dict] = None) -> Verdict:
@@ -326,7 +331,7 @@ def find_stabilization(trace: Trace, metrics: Optional[dict] = None) -> Verdict:
     never otherwise.
     """
     completed = trace.completed
-    found = list(_violations(trace, 0))
+    found = list(_violations(trace))
     cut = max((c for _v, c in found), default=0)
     atomic_from = cut if cut <= max(len(completed) - 2, 0) else None
     stats = {

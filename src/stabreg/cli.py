@@ -1,8 +1,8 @@
 """Command line harness: run scenarios, check traces, play games, poke labels.
 
 Environment overrides: STABREG_SEED replaces the scenario seed, STABREG_OUT
-replaces the output directory.  Exit codes: 0 success, 1 check/lemma
-failure, 2 invalid input.
+the default output directory; the --seed and --out flags beat both.  Exit
+codes: 0 success, 1 check/lemma failure, 2 invalid input.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ def cmd_run(args) -> int:
             print(f"error: STABREG_SEED must be an integer, got {seed_env!r}",
                   file=sys.stderr)
             return 2
-    out = Path(os.environ.get("STABREG_OUT") or args.out or ".")
+    out = Path(args.out or os.environ.get("STABREG_OUT") or ".")
     trace_path = Path(args.trace) if args.trace else out / f"trace-{config.seed}.jsonl"
     metrics_path = (
         Path(args.metrics) if args.metrics else out / f"metrics-{config.seed}.json"

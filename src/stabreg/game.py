@@ -151,10 +151,9 @@ def make_hider(name: str, m: int, rng: random.Random, params: LabelParams) -> Hi
 def play(
     hider: HiderStrategy,
     m: int,
-    seed: int = 0,
-    params: Optional[LabelParams] = None,
+    seed: int,
+    params: LabelParams,
     queue_capacity: Optional[int] = None,
-    check_queue_front: bool = False,
 ) -> GameResult:
     """Run one game; the finder wins at the first round the hider stays
     silent, and loses if it has not won after 4(m + 1) rounds.
@@ -165,8 +164,6 @@ def play(
     """
     if m < 1:
         raise GameError("m must be >= 1")
-    if params is None:
-        params = LabelParams(2 * m)
     capacity = queue_capacity if queue_capacity is not None else 2 * m
     if not 1 <= capacity <= params.k:
         raise GameError(f"queue capacity must be in 1..{params.k}, got {capacity}")
@@ -181,8 +178,6 @@ def play(
     rounds = 4 * (m + 1)
     for rnd in range(1, rounds + 1):
         label = finder_step(queue, prev, response)
-        if check_queue_front:
-            _assert_queue_front(queue, transcript)
         response = hider.respond(label)
         if response is not None and precedes_b(response, label):
             raise GameError("hider exposed a dominated label")
@@ -191,15 +186,3 @@ def play(
             return GameResult(True, rnd, rnd, transcript)
         prev = label
     return GameResult(False, None, rounds, transcript)
-
-
-def _assert_queue_front(queue, transcript):
-    # After i full rounds the queue front holds exactly the i proposals and
-    # i witnesses seen so far (the proof-sketch induction).
-    i = len(transcript)
-    if 2 * i > queue.capacity:
-        return
-    front = set(queue.entries[: 2 * i])
-    expected = {r.finder_label for r in transcript} | {r.response for r in transcript}
-    if len(expected) == 2 * i and front != expected:
-        raise GameError(f"queue front invariant broken at round {i}")

@@ -140,6 +140,17 @@ def all_ops(ops_by_proc: dict[int, list[Op]]) -> list[Op]:
     return [op for ops in ops_by_proc.values() for op in ops]
 
 
+def suffix(trace: Trace, start: int) -> Trace:
+    """The trace from completion index ``start`` on.
+
+    Operations completed earlier, and pending ones, drop out; ``writes``
+    stays whole, so a read of an earlier write's value keeps its write index.
+    """
+    return Trace(trace.config,
+                 [op for op in trace.operations if op.rank >= start],
+                 trace.completed[start:], trace.writes)
+
+
 def suffix_scan_atomic_from(trace: Trace):
     """``atomic_from`` by re-checking the suffix from every start in turn.
 
@@ -150,7 +161,7 @@ def suffix_scan_atomic_from(trace: Trace):
     if len(completed) < 2:
         return None if check_suffix(trace) else 0
     for start in range(len(completed) - 1):
-        if not check_suffix(trace, start):
+        if not check_suffix(suffix(trace, start)):
             return start
     return None
 

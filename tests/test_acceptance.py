@@ -197,7 +197,7 @@ def test_criterion_6_stabilization():
     seeds = 200
     failures = []
     cells = non_atomic = 0
-    worst_ratio = 0.0
+    worst_ratio = worst_abort = 0.0
     for n in (3, 5):
         for c in (1, 2):
             for r in (8, 64):
@@ -211,20 +211,31 @@ def test_criterion_6_stabilization():
                             c=c, r=r, corruption=mode,
                         )
                         lines, metrics = run_scenario(config)
-                        verdict = find_stabilization(parse_trace(lines), metrics)
+                        trace = parse_trace(lines)
+                        verdict = find_stabilization(trace, metrics)
                         wbs = verdict.stats["writes_before_stabilization"]
                         if verdict.atomic_from is None or wbs > bound:
+                            failures.append((n, c, r, mode, seed))
+                            continue
+                        # read progress: after stabilization every reader
+                        # completes a read, and most reads do not abort
+                        reads = [op for op in trace.completed[verdict.atomic_from:]
+                                 if op.kind == "read"]
+                        aborted = sum(op.aborted for op in reads)
+                        worst_abort = max(worst_abort, aborted / max(len(reads), 1))
+                        served = {op.proc for op in reads if not op.aborted}
+                        if served != set(range(1, n)) or 2 * aborted >= len(reads):
                             failures.append((n, c, r, mode, seed))
                             continue
                         non_atomic += verdict.atomic_from > 0
                         worst_ratio = max(worst_ratio, wbs / bound)
     elapsed = time.perf_counter() - started
     ok = not failures
+    failed = f"{len(failures)}, first {failures[:5]}" if failures else "none"
     report(6, ok, f"{cells} cells x {seeds} seeds, {non_atomic} runs start "
                   f"non-atomic, largest writes_before_stabilization/bound "
-                  f"{worst_ratio:.3f}, "
-                  f"failures: {failures[:5] if failures else 'none'}, "
-                  f"{elapsed:.0f}s")
+                  f"{worst_ratio:.3f}, largest suffix abort fraction "
+                  f"{worst_abort:.3f}, failures: {failed}, {elapsed:.0f}s")
     assert ok
 
 

@@ -50,6 +50,16 @@ def test_run_env_overrides(config_file, tmp_path, monkeypatch):
     assert (tmp_path / "sub" / "trace-55.jsonl").exists()
 
 
+def test_run_flags_beat_env_overrides(config_file, tmp_path, monkeypatch):
+    monkeypatch.setenv("STABREG_SEED", "55")
+    monkeypatch.setenv("STABREG_OUT", str(tmp_path / "env"))
+    rc = main(["run", "--config", str(config_file), "--out", str(tmp_path / "flag"),
+               "--seed", "99"])
+    assert rc == 0
+    assert (tmp_path / "flag" / "trace-99.jsonl").exists()
+    assert not (tmp_path / "env").exists()
+
+
 def test_run_rejects_non_integer_seed_env(config_file, tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("STABREG_SEED", "abc")
     rc = main(["run", "--config", str(config_file), "--out", str(tmp_path)])
@@ -389,6 +399,11 @@ def test_labels_bad_literal(capsys):
     for k in ("2", "3"):  # refused under any k, not read as (1|2,3)
         assert main(["labels", "--k", k, "compare", "(1|3,2,2)", "(5|1,4)"]) == 2
         assert "repeats antisting 2" in capsys.readouterr().err
+
+
+def test_labels_compare_takes_two_labels(capsys):
+    assert main(["labels", "--k", "2", "compare", "(2|4,5)"]) == 2
+    assert "compare takes exactly two labels" in capsys.readouterr().err
 
 
 def test_labels_rejects_k_below_two(capsys):

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from stabreg import game
 from stabreg.game import (
     GameError,
     STRATEGIES,
@@ -42,14 +43,34 @@ def test_finder_step_first_round_empty_queue():
 
 
 @pytest.mark.parametrize("strategy", sorted(STRATEGIES))
-def test_finder_wins_within_bound(strategy):
+def test_finder_wins_within_bound(strategy, monkeypatch):
+    # the proof-sketch induction: after i full rounds, while the 2i labels
+    # seen so far are distinct and fit in the queue, the queue front holds
+    # exactly the i proposals and i witnesses
+    seen = []  # this game's proposals and witnesses
+    fronts_checked = 0
+
+    def checked_step(queue, prev_label, response):
+        nonlocal fronts_checked
+        if prev_label is None:  # a new game's first round
+            seen.clear()
+        if response is not None:
+            seen.extend((prev_label, response))
+        label = finder_step(queue, prev_label, response)
+        if seen and len(set(seen)) == len(seen) <= queue.capacity:
+            assert set(queue.entries[:len(seen)]) == set(seen)
+            fronts_checked += 1
+        return label
+
+    monkeypatch.setattr(game, "finder_step", checked_step)
     m = 3
     params = LabelParams(2 * m)
     for seed in range(50):
         hider = make_hider(strategy, m, random.Random(seed + 1000), params)
-        result = play(hider, m, seed=seed, params=params, check_queue_front=True)
+        result = play(hider, m, seed=seed, params=params)
         assert result.won
         assert result.winning_round <= m + 1
+    assert fronts_checked > 0
 
 
 def test_win_means_all_hidden_dominated():
@@ -105,4 +126,5 @@ def test_undersized_queue_can_lose():
 
 def test_rejects_bad_m():
     with pytest.raises(GameError):
-        play(make_hider("static", 1, random.Random(0), LabelParams(2)), 0)
+        play(make_hider("static", 1, random.Random(0), LabelParams(2)), 0,
+             seed=0, params=LabelParams(2))

@@ -268,6 +268,8 @@ def test_format_parse_roundtrip():
     assert parse_label("(4|1,4)") == label
     with pytest.raises(LabelError):
         parse_label("not-a-label")
+    with pytest.raises(LabelError, match="bad label literal"):
+        parse_label("(a|1,2)")
     # a repeated antisting is refused, not folded into a shorter set
     with pytest.raises(LabelError, match="repeats antisting 2"):
         parse_label("(1|3,2,2)")

@@ -82,6 +82,8 @@ crashes = 2@100, 4@250
     (BASE + "read_retry_cap = -2\n", "read_retry_cap"),
     (BASE + "read_retry_cap = 0\n", "read_retry_cap"),
     (BASE.replace("n = 5", "n = 2"), "n must be"),
+    (BASE.replace("n = 5", "n = five"), "bad value for 'n'"),
+    (BASE + "crashes = 9@10\n", "crash of unknown processor"),
     (BASE + "c = 0\n", "c must be"),
     (BASE + "r = 0\n", "r must be"),
     (BASE.replace("steps = 50000", "steps = 0"), "steps must be"),
@@ -344,6 +346,37 @@ def test_potential_catches_a_flat_potential(monkeypatch):
     assert sim.potential.observations > 0
     assert metrics["g_strict_violations"]
     assert metrics["g_violations"] == []
+
+
+def test_every_read_retry_cap_th_abort_waits_ten_backoffs():
+    # a reader's read_retry_cap-th abort in a row waits ten times the
+    # backoff and starts the count again; the wait is the number of the
+    # reader's turns from the abort to its next read
+    config = small_config(corruption="random", read_retry_cap=2)
+    sim = Simulation(config)
+    turns = [0] * config.n
+    events = []  # (the stepping processor's turn count, event), in trace order
+
+    def count_turns(pid, _msg):
+        turns[pid] += 1
+        while len(events) < len(sim.lines):
+            events.append((turns[pid], json.loads(sim.lines[len(events)])))
+
+    sim.checks.append(count_turns)
+    sim.run()
+    waits = []  # (turns waited, the abort's place in its run of aborts)
+    for pid in range(1, config.n):
+        mine = [(turn, event) for turn, event in events if event["proc"] == pid]
+        run = 0
+        for (turn, event), (next_turn, next_event) in zip(mine, mine[1:]):
+            if event["event"] == "read_response":
+                run = run + 1 if event.get("abort") else 0
+                if run and next_event["event"] == "read_invoke":
+                    waits.append((next_turn - turn - 1, run))
+    backoff, cap = config.read_backoff, config.read_retry_cap
+    assert waits == [(10 * backoff if run % cap == 0 else backoff, run)
+                     for _wait, run in waits]
+    assert any(run > cap for _wait, run in waits)  # a count started again
 
 
 @pytest.mark.parametrize("overrides, aborts", [
