@@ -296,9 +296,11 @@ def _violations(trace: Trace) -> Iterator[tuple[Violation, int]]:
                 other = read
 
 
-# ``find_stabilization`` is the one check.  The three filters below have no
-# caller in the package: they stay only because ``perfbench/spans.py`` wraps
-# them by name.
+# ``find_stabilization`` is the one check.  Nothing in the package calls the
+# three filters below.  The tests' suffix scan, the checker tests and
+# criterion 9 call them, and ``perfbench/spans.py`` wraps them by name; the
+# benchmark change moves those callers onto
+# ``find_stabilization(...).violations`` and deletes them.
 
 
 def check_regularity(trace: Trace) -> list[Violation]:

@@ -35,11 +35,15 @@ def test_run_writes_trace_and_metrics(config_file, tmp_path, capsys):
     assert trace.read_bytes() == ("\n".join(lines) + "\n").encode()
 
 
-def test_run_seed_override(config_file, tmp_path):
+def test_run_seed_override(config_file, tmp_path, monkeypatch):
+    # a flag beats its environment variable
+    monkeypatch.setenv("STABREG_SEED", "55")
+    monkeypatch.setenv("STABREG_OUT", str(tmp_path / "env"))
     rc = main(["run", "--config", str(config_file), "--out", str(tmp_path),
                "--seed", "99"])
     assert rc == 0
     assert (tmp_path / "trace-99.jsonl").exists()
+    assert not (tmp_path / "env").exists()
 
 
 def test_run_env_overrides(config_file, tmp_path, monkeypatch):
@@ -48,16 +52,6 @@ def test_run_env_overrides(config_file, tmp_path, monkeypatch):
     rc = main(["run", "--config", str(config_file)])
     assert rc == 0
     assert (tmp_path / "sub" / "trace-55.jsonl").exists()
-
-
-def test_run_flags_beat_env_overrides(config_file, tmp_path, monkeypatch):
-    monkeypatch.setenv("STABREG_SEED", "55")
-    monkeypatch.setenv("STABREG_OUT", str(tmp_path / "env"))
-    rc = main(["run", "--config", str(config_file), "--out", str(tmp_path / "flag"),
-               "--seed", "99"])
-    assert rc == 0
-    assert (tmp_path / "flag" / "trace-99.jsonl").exists()
-    assert not (tmp_path / "env").exists()
 
 
 def test_run_rejects_non_integer_seed_env(config_file, tmp_path, monkeypatch, capsys):
