@@ -176,9 +176,9 @@ class QuorumProcessor:
         if ph is None:
             return None
         responses = ph.responses
+        # never empty: responses holds the sender itself, and a live phase
+        # has under quorum <= n - 1 of them
         pending = [d for d in self._peers if d not in responses]
-        if not pending:
-            return None
         dest = pending[ph.rr % len(pending)]
         ph.rr += 1
         ph.distinct_requests.add(dest)

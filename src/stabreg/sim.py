@@ -19,8 +19,10 @@ from . import adversary
 from .protocol import (QR_REQ, QR_RESP, QW_REQ, WRITER_ID, BoundedReader,
                        BoundedWriter, Message, OracleReader, OracleWriter, ProtocolParams)
 
-# one encoder for all trace lines (json.dumps with options makes one per call)
+# one encoder for the header line (json.dumps with options makes one per call)
 _encode = json.JSONEncoder(sort_keys=True).encode
+# the string escaper _encode itself uses (ensure_ascii is on)
+_escape = json.encoder.encode_basestring_ascii
 
 
 class ScenarioError(ValueError):
@@ -156,8 +158,9 @@ def _below(getrandbits, n: int) -> int:
 
     This is CPython's ``Random._randbelow_with_getrandbits``, behind
     ``choice``, ``randrange`` and ``shuffle``: the scheduler draws only
-    through this and ``random()``, so a run depends on the Mersenne Twister
-    output alone and not on ``random``'s pure-Python wrappers.
+    through this loop and ``random()``, so a run depends on the Mersenne
+    Twister output alone and not on ``random``'s pure-Python wrappers.
+    ``Simulation.run`` writes the loop out at its three hot draws.
     """
     k = n.bit_length()  # not (n - 1): n can be 1, and that still draws
     r = getrandbits(k)
@@ -285,9 +288,24 @@ class Simulation:
             self._abort_streak[pid] = 0
             self._event(pid, "read_response", op_id, value=phase.payload[1])
 
-    def _event(self, pid: int, kind: str, op_id: str, **fields) -> None:
-        self.lines.append(_encode({"step": self.step_count, "proc": pid, "event": kind,
-                                   "op_id": op_id, **fields}))
+    def _event(self, pid: int, kind: str, op_id: str, value: str | None = None,
+               abort: bool = False) -> None:
+        """Record one event as its trace line.
+
+        The line is the bytes ``_encode`` gives the event's dict, keys
+        sorted, written from a template: ``kind`` is one of the four event
+        names, and a ``value`` that is not a ``str`` raises ``TypeError``.
+        """
+        if value is not None:
+            line = '{"event": "%s", "op_id": %s, "proc": %d, "step": %d, "value": %s}' % (
+                kind, _escape(op_id), pid, self.step_count, _escape(value))
+        elif abort:
+            line = '{"abort": true, "event": "%s", "op_id": %s, "proc": %d, "step": %d}' % (
+                kind, _escape(op_id), pid, self.step_count)
+        else:
+            line = '{"event": "%s", "op_id": %s, "proc": %d, "step": %d}' % (
+                kind, _escape(op_id), pid, self.step_count)
+        self.lines.append(line)
 
     # -- the scheduler loop --------------------------------------------
 
@@ -305,6 +323,8 @@ class Simulation:
         toggle, schedule = self._send_toggle, self._schedule
         pending, live, checks = self._pending_crashes, self._live, self.checks
         sends, drops = self.message_sends, self.dropped_messages
+        # the getrandbits width of each size the hot draws below take
+        bits = [size.bit_length() for size in range(max(cfg.n, c + 1) + 1)]
         step_count = self.step_count
         while step_count < steps:
             step_count += 1
@@ -317,7 +337,10 @@ class Simulation:
                 # steps covers all.  Fisher-Yates, as random.shuffle draws.
                 schedule.extend(live)
                 for i in range(len(schedule) - 1, 0, -1):
-                    j = _below(getrandbits, i + 1)
+                    k = bits[i + 1]  # _below(getrandbits, i + 1) written out
+                    j = getrandbits(k)
+                    while j > i:
+                        j = getrandbits(k)
                     schedule[i], schedule[j] = schedule[j], schedule[i]
             pid = schedule.pop()
             proc = procs[pid]
@@ -347,12 +370,22 @@ class Simulation:
                 boxes = inbound[pid]
                 nonempty = list(filter(None, boxes))
                 if nonempty and random_() < 0.9:
-                    box = nonempty[_below(getrandbits, len(nonempty))]
+                    size = len(nonempty)
+                    k = bits[size]  # _below(getrandbits, size) written out
+                    j = getrandbits(k)
+                    while j >= size:
+                        j = getrandbits(k)
+                    box = nonempty[j]
                 else:
                     box = boxes[_below(getrandbits, len(boxes))]
                 if box:  # else a null message
+                    size = len(box)
+                    k = bits[size]  # _below(getrandbits, size) written out
+                    j = getrandbits(k)
+                    while j >= size:
+                        j = getrandbits(k)
                     phase = proc.phase
-                    reply = proc.on_message(box.pop(_below(getrandbits, len(box))))
+                    reply = proc.on_message(box.pop(j))
                     if reply is not None:
                         outbox.append(reply)
                     if proc.phase is not phase:

@@ -11,9 +11,13 @@ change to how labels are built can keep every trace and still break it.
 The module runs without pytest too (``PYTHONPATH=src python
 tests/test_golden_traces.py``), so it can check interpreters that have no
 test dependencies installed.  The scheduler draws only through
-``random()`` and ``getrandbits``, the latter via ``sim._below``; only a
-corrupted start still goes through ``random``'s pure-Python ``randint`` and
-``sample``.
+``random()`` and ``getrandbits``, the latter in ``random``'s own rejection
+loop: written out in ``Simulation.run`` for the round shuffle, the pick of a
+nonempty link and the pick of a message, and through ``sim._below`` for an
+eviction and the link of a possibly null receive.  Only a corrupted start
+still goes through ``random``'s pure-Python ``randint`` and ``sample``.
+Event lines are written from a template to the bytes ``json.dumps`` gives
+with sorted keys, so these hashes also hold the template to the encoder.
 """
 
 import hashlib

@@ -151,6 +151,33 @@ def test_header_embeds_config():
     assert header["config"]["seed"] == 7
 
 
+# quote, backslash, newline, NUL, a non-ASCII and an astral character
+AWKWARD = 'a"b\\c\nd\x00e\u00e9f\U0001f600g'
+
+
+def test_event_lines_are_the_encoders_bytes():
+    shapes = [
+        ("write_invoke", {"value": AWKWARD}),
+        ("read_invoke", {}),
+        ("write_response", {}),
+        ("read_response", {"value": AWKWARD}),
+        ("read_response", {"abort": True}),
+    ]
+    for kind, fields in shapes:
+        sim = Simulation(small_config())
+        sim.step_count = 123456
+        sim._event(3, kind, "op" + AWKWARD, **fields)
+        expected = {"step": 123456, "proc": 3, "event": kind, "op_id": "op" + AWKWARD,
+                    **fields}
+        assert sim.lines == [json.dumps(expected, sort_keys=True)], (kind, fields)
+    # a value the template cannot write is refused, not encoded some other way
+    sim = Simulation(small_config())
+    for value in (1, b"v#1"):
+        with pytest.raises(TypeError):
+            sim._event(0, "write_invoke", "w1", value=value)
+    assert sim.lines == []
+
+
 def test_crashed_minority_does_not_block_survivors():
     config = small_config(crashes=[(400, 2), (900, 4)])
     lines, metrics = run_scenario(config, audit=True)
@@ -216,13 +243,17 @@ def test_below_draws_as_randrange():
 
 
 def test_fisher_yates_loop_draws_as_shuffle():
+    bits = [size.bit_length() for size in range(11)]
     for seed in range(200):
         a, b = random.Random(seed), random.Random(seed)
         for length in range(10):
             mine, theirs = list(range(length)), list(range(length))
-            # the refill loop of Simulation.run
+            # the refill loop of Simulation.run, _below written out
             for i in range(len(mine) - 1, 0, -1):
-                j = _below(a.getrandbits, i + 1)
+                k = bits[i + 1]
+                j = a.getrandbits(k)
+                while j > i:
+                    j = a.getrandbits(k)
                 mine[i], mine[j] = mine[j], mine[i]
             b.shuffle(theirs)
             assert mine == theirs, (seed, length)
