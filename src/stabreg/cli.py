@@ -2,7 +2,10 @@
 
 Environment overrides: STABREG_SEED replaces the scenario seed, STABREG_OUT
 the default output directory; the --seed and --out flags beat both.  Exit
-codes: 0 success, 1 check/lemma failure, 2 invalid input.
+codes: 0 success, 1 check/lemma failure, 2 invalid input.  Invalid input
+leaves through one path: each command raises InputError (or the game's
+GameError), and ``main`` alone prints it and returns 2.  ``run`` leaves an
+existing trace or metrics file as it was until the run has finished.
 """
 
 from __future__ import annotations
@@ -21,15 +24,17 @@ from .labels import LabelError, LabelParams, format_label, next_label, parse_lab
 from .sim import ScenarioError, parse_scenario, run_scenario
 
 
+class InputError(Exception):
+    """Invalid input: ``main`` prints it after ``error:`` and exits 2."""
+
+
 def cmd_run(args) -> int:
     try:
         config = parse_scenario(Path(args.config).read_text(encoding="utf-8"))
     except (OSError, UnicodeDecodeError) as exc:
-        print(f"error: cannot read config: {exc}", file=sys.stderr)
-        return 2
+        raise InputError(f"cannot read config: {exc}") from exc
     except ScenarioError as exc:
-        print(f"error: invalid scenario: {exc}", file=sys.stderr)
-        return 2
+        raise InputError(f"invalid scenario: {exc}") from exc
     seed_env = os.environ.get("STABREG_SEED")
     if args.seed is not None:
         config.seed = args.seed
@@ -37,37 +42,28 @@ def cmd_run(args) -> int:
         try:
             config.seed = int(seed_env)
         except ValueError:
-            print(f"error: STABREG_SEED must be an integer, got {seed_env!r}",
-                  file=sys.stderr)
-            return 2
+            raise InputError(f"STABREG_SEED must be an integer, got {seed_env!r}") from None
     out = Path(args.out or os.environ.get("STABREG_OUT") or ".")
     trace_path = Path(args.trace) if args.trace else out / f"trace-{config.seed}.jsonl"
-    metrics_path = (
-        Path(args.metrics) if args.metrics else out / f"metrics-{config.seed}.json"
-    )
+    metrics_path = Path(args.metrics) if args.metrics else out / f"metrics-{config.seed}.json"
     if os.path.realpath(trace_path) == os.path.realpath(metrics_path):
-        print(f"error: trace and metrics would both be written to {trace_path}",
-              file=sys.stderr)
-        return 2
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        print(f"error: cannot write output: {exc}", file=sys.stderr)
-        return 2
-    # both outputs are opened before the run; unless the run and both writes
-    # finish, no file that did not exist before is left behind
+        raise InputError(f"trace and metrics would both be written to {trace_path}")
+    # both outputs are opened before the run, and emptied only once it is done;
+    # if anything fails, no file that did not exist before is left behind
     created = [path for path in (trace_path, metrics_path) if not os.path.exists(path)]
     done = False
     try:
-        with (open(trace_path, "w", encoding="utf-8") as trace_out,
-              open(metrics_path, "w", encoding="utf-8") as metrics_out):
+        out.mkdir(parents=True, exist_ok=True)
+        with (open(trace_path, "a", encoding="utf-8") as trace_out,
+              open(metrics_path, "a", encoding="utf-8") as metrics_out):
             lines, metrics = run_scenario(config, audit=args.audit)
+            trace_out.truncate(0)
             print(*lines, sep="\n", file=trace_out)
+            metrics_out.truncate(0)
             metrics_out.write(json.dumps(metrics, sort_keys=True, indent=2) + "\n")
         done = True
     except OSError as exc:
-        print(f"error: cannot write output: {exc}", file=sys.stderr)
-        return 2
+        raise InputError(f"cannot write output: {exc}") from exc
     finally:
         if not done:
             for path in created:
@@ -87,17 +83,14 @@ def cmd_check(args) -> int:
                 raise ValueError("not a JSON object")
         # ValueError covers bad UTF-8 and bad JSON; deep nesting recurses
         except (OSError, ValueError, RecursionError) as exc:
-            print(f"error: cannot read metrics: {exc}", file=sys.stderr)
-            return 2
+            raise InputError(f"cannot read metrics: {exc}") from exc
     try:
         with open(args.trace, encoding="utf-8") as lines:
             trace = parse_trace(lines)  # decodes the file as it goes
     except (OSError, UnicodeDecodeError) as exc:
-        print(f"error: cannot read trace: {exc}", file=sys.stderr)
-        return 2
+        raise InputError(f"cannot read trace: {exc}") from exc
     except TraceError as exc:
-        print(f"error: malformed trace: {exc}", file=sys.stderr)
-        return 2
+        raise InputError(f"malformed trace: {exc}") from exc
     verdict = find_stabilization(trace, metrics)
     print(json.dumps(verdict.to_dict(), sort_keys=True, indent=2))
     return 0 if verdict.atomic_from is not None else 1
@@ -105,13 +98,7 @@ def cmd_check(args) -> int:
 
 def cmd_game(args) -> int:
     if args.m < 1 or args.seeds < 1:
-        print("error: --m and --seeds must be >= 1", file=sys.stderr)
-        return 2
-    if args.strategy not in STRATEGIES:
-        known = ", ".join(sorted(STRATEGIES))
-        print(f"error: unknown strategy {args.strategy!r} (known: {known})",
-              file=sys.stderr)
-        return 2
+        raise InputError("--m and --seeds must be >= 1")
     params = LabelParams(2 * args.m)
     max_round = 0
     failures = 0
@@ -142,19 +129,16 @@ def cmd_labels(args) -> int:
             label.validate(params)
         if args.op == "compare":
             if len(labels) != 2:
-                print("error: compare takes exactly two labels", file=sys.stderr)
-                return 2
+                raise InputError("compare takes exactly two labels")
             a, b = labels
             print(json.dumps({
                 "a_precedes_b": precedes_b(a, b),
                 "b_precedes_a": precedes_b(b, a),
             }))
         else:  # next
-            result = next_label(labels, params)
-            print(format_label(result))
+            print(format_label(next_label(labels, params)))
     except LabelError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        raise InputError(str(exc)) from exc
     return 0
 
 
@@ -206,7 +190,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except GameError as exc:
+    except (InputError, GameError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -140,7 +140,8 @@ def make_hider(name: str, m: int, rng: random.Random, params: LabelParams) -> Hi
     try:
         cls = STRATEGIES[name]
     except KeyError:
-        raise GameError(f"unknown hider strategy {name!r}") from None
+        known = ", ".join(sorted(STRATEGIES))
+        raise GameError(f"unknown strategy {name!r} (known: {known})") from None
     if cls is MaxIncomparableHider:
         hidden = incomparable_family(m, params, rng)
     else:

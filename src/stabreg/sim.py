@@ -178,7 +178,8 @@ class Simulation:
         self.params = ProtocolParams(config.n, config.c, config.r, config.k_override)
         self.rng = random.Random(config.seed)
         self.step_count = 0
-        self.lines: list[str] = []  # the trace, one JSON event per line
+        # the trace: a header embedding the config, then one JSON event per line
+        self.lines = [_encode({"type": "header", "config": scenario_to_dict(config)})]
         # the pids not crashed, ascending: each round of the schedule is a
         # shuffle of this list
         self._live = list(range(config.n))
@@ -502,10 +503,9 @@ PROTOCOLS = {"bounded": (BoundedWriter, BoundedReader, adversary.MODES, None),
 def run_scenario(config: ScenarioConfig, audit: bool = False):
     """Run one scenario; returns (trace_lines, metrics).
 
-    The first line is a header embedding the resolved config; each later
-    line is one invocation/response event, encoded as the run recorded it.
+    The lines are the simulation's own trace: the header, then each
+    invocation/response event as the run recorded it.
     """
     sim = Simulation(config, audit=audit)
     metrics = sim.run()
-    header = _encode({"type": "header", "config": scenario_to_dict(config)})
-    return [header, *sim.lines], metrics
+    return sim.lines, metrics

@@ -21,13 +21,15 @@ def config_file(tmp_path):
 
 
 def test_run_writes_trace_and_metrics(config_file, tmp_path, capsys):
+    trace = tmp_path / "trace-3.jsonl"
+    metrics = tmp_path / "metrics-3.json"
+    # outputs longer than the new ones, so that a stale tail would show
+    trace.write_text("stale\n" * 100_000)
+    metrics.write_text("stale\n" * 100_000)
     rc = main(["run", "--config", str(config_file), "--out", str(tmp_path)])
     assert rc == 0
     out = capsys.readouterr().out
     assert "trace-3.jsonl" in out
-    trace = tmp_path / "trace-3.jsonl"
-    metrics = tmp_path / "metrics-3.json"
-    assert trace.exists() and metrics.exists()
     assert json.loads(trace.read_text().splitlines()[0])["type"] == "header"
     assert json.loads(metrics.read_text())["writes_completed"] == 10
     # the lines are written as run_scenario returns them, one per line
@@ -94,11 +96,24 @@ def test_run_reports_unwritable_output(config_file, tmp_path, capsys, monkeypatc
     assert_no_outputs(tmp_path)
 
 
+def interrupt(*_args, **_kwargs):
+    raise KeyboardInterrupt
+
+
 def test_run_leaves_no_output_when_the_run_fails(config_file, tmp_path, monkeypatch):
-    monkeypatch.setattr("stabreg.cli.run_scenario", refuse_to_run)
-    with pytest.raises(RuntimeError, match="simulated"):
-        main(["run", "--config", str(config_file), "--out", str(tmp_path)])
-    assert_no_outputs(tmp_path)
+    trace, metrics = tmp_path / "trace-3.jsonl", tmp_path / "metrics-3.json"
+    for failure, error in ((refuse_to_run, RuntimeError), (interrupt, KeyboardInterrupt)):
+        monkeypatch.setattr("stabreg.cli.run_scenario", failure)
+        for existing in ([], [trace], [trace, metrics]):
+            for path in existing:
+                path.write_text(f"old {path.name}\n")
+            with pytest.raises(error):
+                main(["run", "--config", str(config_file), "--out", str(tmp_path)])
+            # the run created no file, and emptied none that was there
+            assert sorted(tmp_path.glob("*-3.*")) == sorted(existing)
+            for path in existing:
+                assert path.read_text() == f"old {path.name}\n"
+                path.unlink()
 
 
 @pytest.mark.parametrize("where", ["explicit-pair", "metrics-named-as-default-trace"])
@@ -118,42 +133,25 @@ def test_run_rejects_one_path_for_both_outputs(config_file, tmp_path, capsys, wh
     assert sorted(tmp_path.rglob("*")) == before
 
 
-def test_run_invalid_config(tmp_path, capsys):
+# each rule is tested in test_sim.py::test_parse_scenario_rejects; this
+# table checks that run reports a broken one as invalid input
+@pytest.mark.parametrize("text, fragment", [
+    ("n = 5\n", "missing required config key"),
+    (CLEAN + "k_override = 1\n", "k_override"),
+    (CLEAN + "k_override = -3\n", "k_override"),
+    (CLEAN + "read_backoff = -7\n", "read_backoff"),
+    (CLEAN + "read_retry_cap = -2\n", "read_retry_cap"),
+    (CLEAN + "protocol = oracle\ncorruption = near-wrap\n", "no oracle meaning"),
+    (CLEAN + "protocol = oracle\ncorruption = hidden-epoch\n", "no oracle meaning"),
+], ids=["missing-keys", "k-override-1", "k-override-negative", "read-backoff",
+        "read-retry-cap", "oracle-near-wrap", "oracle-hidden-epoch"])
+def test_run_rejects_invalid_scenario(tmp_path, capsys, text, fragment):
     bad = tmp_path / "bad.cfg"
-    bad.write_text("n = 5\n")  # missing required keys
-    rc = main(["run", "--config", str(bad)])
-    assert rc == 2
-    assert "invalid scenario" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("k", ["1", "-3"])
-def test_run_rejects_unusable_k_override(tmp_path, capsys, k):
-    bad = tmp_path / "k.cfg"
-    bad.write_text(CLEAN + f"k_override = {k}\n")
+    bad.write_text(text)
     rc = main(["run", "--config", str(bad), "--out", str(tmp_path)])
     assert rc == 2
-    assert "k_override" in capsys.readouterr().err
-    assert not list(tmp_path.glob("trace-*"))
-
-
-@pytest.mark.parametrize("line,key", [("read_backoff = -7", "read_backoff"),
-                                      ("read_retry_cap = -2", "read_retry_cap")])
-def test_run_rejects_bad_read_retry_settings(tmp_path, capsys, line, key):
-    bad = tmp_path / "retry.cfg"
-    bad.write_text(CLEAN + line + "\n")
-    rc = main(["run", "--config", str(bad), "--out", str(tmp_path)])
-    assert rc == 2
-    assert key in capsys.readouterr().err
-    assert not list(tmp_path.glob("trace-*"))
-
-
-@pytest.mark.parametrize("mode", ["near-wrap", "hidden-epoch"])
-def test_run_rejects_label_corruption_under_oracle(tmp_path, capsys, mode):
-    bad = tmp_path / "oracle.cfg"
-    bad.write_text(CLEAN + f"protocol = oracle\ncorruption = {mode}\n")
-    rc = main(["run", "--config", str(bad), "--out", str(tmp_path)])
-    assert rc == 2
-    assert "no oracle meaning" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("error: invalid scenario: ") and fragment in err
     assert not list(tmp_path.glob("trace-*"))
 
 
@@ -355,6 +353,9 @@ def test_game_transcript_lines(capsys):
 
 def test_game_rejects_unknown_strategy(capsys):
     assert main(["game", "--m", "2", "--strategy", "psychic"]) == 2
+    assert capsys.readouterr().err == ("error: unknown strategy 'psychic' (known: "
+                                       "insert-finder, max-incomparable, random-replace, "
+                                       "static)\n")
 
 
 def test_game_rejects_empty_queue(capsys):

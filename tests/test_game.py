@@ -5,6 +5,7 @@ import pytest
 from stabreg import game
 from stabreg.game import (
     GameError,
+    HiderStrategy,
     STRATEGIES,
     finder_step,
     make_hider,
@@ -128,3 +129,18 @@ def test_rejects_bad_m():
     with pytest.raises(GameError):
         play(make_hider("static", 1, random.Random(0), LabelParams(2)), 0,
              seed=0, params=LabelParams(2))
+
+
+def test_play_rejects_a_dominated_witness():
+    # the hider first exposes the finder's own proposal (no label is below
+    # itself), then each time the previous one, which the finder has banked
+    # and so dominates
+    class ExposesThePreviousProposal(HiderStrategy):
+        def respond(self, finder_label):
+            exposed = getattr(self, "previous", finder_label)
+            self.previous = finder_label
+            return exposed
+
+    hider = ExposesThePreviousProposal([], random.Random(0))
+    with pytest.raises(GameError, match="dominated"):
+        play(hider, 2, seed=0, params=LabelParams(4))

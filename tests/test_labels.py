@@ -262,6 +262,14 @@ def test_incomparable_family_pairwise():
             assert not precedes_b(a, b)
 
 
+def test_incomparable_family_rejects_what_it_cannot_build():
+    params = LabelParams(4)
+    with pytest.raises(LabelError, match="at most k=4"):
+        incomparable_family(5, params, random.Random(0))
+    with pytest.raises(LabelError, match="sting pool too small"):
+        incomparable_family(3, params, random.Random(0), sting_pool=range(1, 3))
+
+
 def test_format_parse_roundtrip():
     label = make_label(4, {1, 4})
     assert format_label(label) == "(4|1,4)"

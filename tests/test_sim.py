@@ -62,6 +62,8 @@ crashes = 2@100, 4@250
     assert config.loss_prob == pytest.approx(0.1)
     assert config.corruption == "near-wrap"
     assert config.crashes == [(100, 2), (250, 4)]
+    # a trailing comma leaves an empty entry, which is skipped
+    assert parse_scenario(BASE + "crashes = 2@100,\n").crashes == [(100, 2)]
 
 
 @pytest.mark.parametrize("text,fragment", [
@@ -169,13 +171,13 @@ def test_event_lines_are_the_encoders_bytes():
         sim._event(3, kind, "op" + AWKWARD, **fields)
         expected = {"step": 123456, "proc": 3, "event": kind, "op_id": "op" + AWKWARD,
                     **fields}
-        assert sim.lines == [json.dumps(expected, sort_keys=True)], (kind, fields)
+        assert sim.lines[1:] == [json.dumps(expected, sort_keys=True)], (kind, fields)
     # a value the template cannot write is refused, not encoded some other way
     sim = Simulation(small_config())
     for value in (1, b"v#1"):
         with pytest.raises(TypeError):
             sim._event(0, "write_invoke", "w1", value=value)
-    assert sim.lines == []
+    assert len(sim.lines) == 1  # the header alone
 
 
 def test_crashed_minority_does_not_block_survivors():
@@ -208,6 +210,16 @@ def test_audit_catches_a_message_planted_mid_run():
     # give the forgery its freed address, and so its id
     box.append(Message(*fields))
     with pytest.raises(AssertionError, match="fabricated message"):
+        sim._check_audit(0, None)
+
+
+def test_audit_catches_an_overfull_link():
+    sim = Simulation(small_config(steps=300), audit=True)  # c = 1
+    sim.run()
+    sim._check_audit(0, None)
+    box = next(box for box in sim.links.values() if box)
+    box.append(box[0])  # a message the audit has seen, so only the count is wrong
+    with pytest.raises(AssertionError, match="capacity violated"):
         sim._check_audit(0, None)
 
 
@@ -281,7 +293,7 @@ def test_run_draws_only_random_and_getrandbits(overrides):
     sim = Simulation(config)
     sim.rng = TwoDraws(sim.rng)
     sim.run()
-    assert sim.lines == lines[1:]
+    assert sim.lines == lines
 
 
 def test_lossy_links_still_make_progress():
@@ -365,6 +377,16 @@ def test_oracle_corrupted_run_potential_still_monotone():
     assert metrics["writes_completed"] == 15
 
 
+def test_potential_catches_a_rising_potential():
+    sim = Simulation(small_config(protocol="oracle", writes=15))
+    sim.run()
+    assert sim.potential.violations == []
+    # a sequence number above the writer's that nothing held before raises g
+    sim.links[(1, 2)].append(Message(QW_REQ, (1, 0), 1, 2, (10**9, "forged")))
+    sim.potential.check(0, None)
+    assert sim.potential.violations == [sim.step_count]
+
+
 def test_potential_catches_a_flat_potential(monkeypatch):
     # in this corrupted cell of acceptance criterion 7 the writer's read
     # phase sees a larger number once; with g pinned, that step must be
@@ -390,8 +412,8 @@ def test_every_read_retry_cap_th_abort_waits_ten_backoffs():
 
     def count_turns(pid, _msg):
         turns[pid] += 1
-        while len(events) < len(sim.lines):
-            events.append((turns[pid], json.loads(sim.lines[len(events)])))
+        while len(events) < len(sim.lines) - 1:  # the header is not an event
+            events.append((turns[pid], json.loads(sim.lines[len(events) + 1])))
 
     sim.checks.append(count_turns)
     sim.run()
