@@ -2,10 +2,12 @@
 
 Environment overrides: STABREG_SEED replaces the scenario seed, STABREG_OUT
 the default output directory; the --seed and --out flags beat both.  Exit
-codes: 0 success, 1 check/lemma failure, 2 invalid input.  Invalid input
-leaves through one path: each command raises InputError (or the game's
-GameError), and ``main`` alone prints it and returns 2.  ``run`` leaves an
-existing trace or metrics file as it was until the run has finished.
+codes: 0 success, 1 check/lemma failure, 2 invalid input, 141 stdout closed
+by its reader (128 + SIGPIPE, the status a shell shows for a writer the
+signal killed).  Invalid input leaves through one path: each command raises
+InputError (or the game's GameError), and ``main`` alone prints it and
+returns 2.  ``run`` leaves an existing trace or metrics file as it was until
+the run has finished.
 """
 
 from __future__ import annotations
@@ -189,10 +191,17 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()
+        return status
     except (InputError, GameError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # the reader of stdout is gone: exit as a writer killed by SIGPIPE,
+        # with fd 1 on devnull so the flush at exit has nowhere to fail
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
 
 
 if __name__ == "__main__":

@@ -114,20 +114,14 @@ class InsertFinderHider(HiderStrategy):
 
 class MaxIncomparableHider(HiderStrategy):
     """Static hider whose set is a crafted pairwise-incomparable family,
-    exposing the least recently exposed witness."""
+    exposing the least recently exposed witness: each exposed label moves to
+    the end of the hidden list, behind the labels never exposed."""
 
     name = "max-incomparable"
 
-    def __init__(self, hidden, rng):
-        super().__init__(hidden, rng)
-        self._last_exposed: dict[Label, int] = {}
-        self._clock = 0
-
-    def pick_witness(self, witnesses):
-        self._clock += 1
-        chosen = min(witnesses, key=lambda w: self._last_exposed.get(w, 0))
-        self._last_exposed[chosen] = self._clock
-        return chosen
+    def mutate(self, exposed, finder_label):
+        self.hidden.remove(exposed)
+        self.hidden.append(exposed)
 
 
 STRATEGIES = {

@@ -185,10 +185,6 @@ class Simulation:
         self._live = list(range(config.n))
         # latest first, so the next crash due is popped off the end
         self._pending_crashes = sorted(config.crashes, reverse=True)
-        # messages planted or sent since the last audit, plus those still in
-        # a link, by id; holding each message keeps a forgery from taking
-        # its id
-        self._audit_sent: dict[int, Message] = {}
 
         n = config.n
         self.links: dict[tuple[int, int], list[Message]] = {
@@ -201,6 +197,12 @@ class Simulation:
         self.outboxes: list[list[Message]] = [[] for _ in range(n)]
         self._send_toggle = [False] * n
         self._schedule: list[int] = []
+        # the run's measurements by metric name, each updated where it
+        # happens; metrics() adds the three it derives
+        self.stats = {"writes_completed": 0, "reads_completed": 0, "reads_aborted": 0,
+                      "message_sends": 0, "dropped_messages": 0, "completed_phases": 0,
+                      "max_phase_requests": 0, "max_phase_responses": 0,
+                      "g_violations": [], "g_strict_violations": []}
 
         writer, reader, modes, potential = PROTOCOLS[config.protocol]
         # the clean start, then the scenario's corruption of it
@@ -212,22 +214,17 @@ class Simulation:
         # sent in that step or None
         self.checks = [self.potential.check] if self.potential is not None else []
         if audit:
-            self._audit_sent.update((id(m), m) for box in self.links.values() for m in box)
+            # messages planted or sent since the last audit, plus those still
+            # in a link, by id; holding each message keeps a forgery from
+            # taking its id
+            self._audit_sent = {id(m): m for box in self.links.values() for m in box}
             self.checks.append(self._check_audit)
 
-        self.writes_done = 0
         self._read_counters = [0] * n
         # the operation each processor runs, None if idle or never invoked
         self._op_ids: list[str | None] = [None] * n
         self._abort_streak = [0] * n
         self._reader_wait = [0] * n
-        self.reads_aborted = 0
-        self.reads_done = 0
-        self.message_sends = 0
-        self.dropped_messages = 0
-        self.completed_phases = 0
-        self.max_phase_requests = 0
-        self.max_phase_responses = 0
 
     # -- scheduling ----------------------------------------------------
 
@@ -244,14 +241,14 @@ class Simulation:
         if pid == WRITER_ID:
             # the writer is idle only between writes, so every write it
             # invoked has completed
-            if self.writes_done >= self.config.writes:
+            w = self.stats["writes_completed"] + 1
+            if w > self.config.writes:
                 return
-            w = self.writes_done + 1
             op_id, value = f"w{w}", f"v#{w}"
             self._event(pid, "write_invoke", op_id, value=value)
             proc.start_write(value)
         else:
-            if self.writes_done >= self.config.writes:
+            if self.stats["writes_completed"] >= self.config.writes:
                 return  # run is winding down, no fresh reads
             if self._reader_wait[pid] > 0:
                 self._reader_wait[pid] -= 1
@@ -265,18 +262,20 @@ class Simulation:
     def _phase_done(self, pid: int, proc, phase) -> None:
         """Fold the phase that ``proc`` just finished into the phase metrics,
         and record the response of the operation it ended, if any."""
-        self.completed_phases += 1
-        self.max_phase_requests = max(self.max_phase_requests, len(phase.distinct_requests))
-        self.max_phase_responses = max(self.max_phase_responses, len(phase.responses))
+        stats = self.stats
+        stats["completed_phases"] += 1
+        stats["max_phase_requests"] = max(stats["max_phase_requests"],
+                                          len(phase.distinct_requests))
+        stats["max_phase_responses"] = max(stats["max_phase_responses"], len(phase.responses))
         op_id = self._op_ids[pid]
         if proc.phase is not None or op_id is None:
             return  # the write phase follows, or the start planted the operation
         self._op_ids[pid] = None
         if pid == WRITER_ID:
-            self.writes_done += 1
+            stats["writes_completed"] += 1
             self._event(pid, "write_response", op_id)
         elif phase.kind == QR_REQ:  # no view dominated the others
-            self.reads_aborted += 1
+            stats["reads_aborted"] += 1
             backoff = self.config.read_backoff
             self._abort_streak[pid] += 1
             if self._abort_streak[pid] >= self.config.read_retry_cap:
@@ -285,7 +284,7 @@ class Simulation:
             self._reader_wait[pid] = backoff
             self._event(pid, "read_response", op_id, abort=True)
         else:
-            self.reads_done += 1
+            stats["reads_completed"] += 1
             self._abort_streak[pid] = 0
             self._event(pid, "read_response", op_id, value=phase.payload[1])
 
@@ -322,8 +321,8 @@ class Simulation:
         random_, getrandbits = self.rng.random, self.rng.getrandbits
         procs, outboxes, inbound = self.procs, self.outboxes, self._inbound
         toggle, schedule = self._send_toggle, self._schedule
-        pending, live, checks = self._pending_crashes, self._live, self.checks
-        sends, drops = self.message_sends, self.dropped_messages
+        pending, live, checks, stats = self._pending_crashes, self._live, self.checks, self.stats
+        sends, drops = stats["message_sends"], stats["dropped_messages"]
         # the getrandbits width of each size the hot draws below take
         bits = [size.bit_length() for size in range(max(cfg.n, c + 1) + 1)]
         step_count = self.step_count
@@ -395,9 +394,9 @@ class Simulation:
             if checks:
                 for check in checks:
                     check(pid, msg)
-            if self.writes_done >= writes and all(procs[i].idle for i in live):
+            if stats["writes_completed"] >= writes and all(procs[i].idle for i in live):
                 break
-        self.message_sends, self.dropped_messages = sends, drops
+        stats["message_sends"], stats["dropped_messages"] = sends, drops
         return self.metrics()
 
     def _check_audit(self, _pid: int, msg) -> None:
@@ -416,22 +415,9 @@ class Simulation:
         self._audit_sent = in_links
 
     def metrics(self) -> dict:
-        writer, potential = self.procs[WRITER_ID], self.potential
-        return {
-            "steps": self.step_count,
-            "writes_completed": self.writes_done,
-            "reads_completed": self.reads_done,
-            "reads_aborted": self.reads_aborted,
-            "message_sends": self.message_sends,
-            "dropped_messages": self.dropped_messages,
-            "epoch_changes": getattr(writer, "epoch_changes", 0),
-            "max_phase_requests": self.max_phase_requests,
-            "max_phase_responses": self.max_phase_responses,
-            "completed_phases": self.completed_phases,
-            "g_violations": potential.violations if potential else [],
-            "g_strict_violations": potential.strict_violations if potential else [],
-            "crashed": [pid for pid in range(self.config.n) if pid not in self._live],
-        }
+        return {"steps": self.step_count, **self.stats,
+                "epoch_changes": getattr(self.procs[WRITER_ID], "epoch_changes", 0),
+                "crashed": [pid for pid in range(self.config.n) if pid not in self._live]}
 
 
 class Potential:
@@ -442,14 +428,16 @@ class Potential:
     a message in a link or an outbox.  g must never rise, and it must fall
     in a step where a write's read phase sees a number above the writer's
     own.  ``violations`` and ``strict_violations`` list the steps that
-    break either rule; ``observations`` counts the steps of the second kind.
+    break either rule, and are the run's ``g_violations`` and
+    ``g_strict_violations`` metrics; ``observations`` counts the steps of the
+    second kind.
     """
 
     def __init__(self, sim: Simulation):
         self.sim = sim
         self.writer = sim.procs[WRITER_ID]
-        self.violations: list[int] = []
-        self.strict_violations: list[int] = []
+        self.violations: list[int] = sim.stats["g_violations"]
+        self.strict_violations: list[int] = sim.stats["g_strict_violations"]
         self.observations = 0
         self._phase = self.writer.phase
         self._seq = self.writer.max_seq

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import stabreg
 from stabreg.cli import main
 from stabreg.sim import parse_scenario, run_scenario
 
@@ -349,6 +354,37 @@ def test_game_transcript_lines(capsys):
     records = [json.loads(line) for line in lines[:-1]]
     assert records, "expected per-round transcript lines"
     assert {"seed", "round", "finder", "response"} <= set(records[0])
+
+
+def closed_stdout_run(argv, unbuffered):
+    """Run ``stabreg argv`` with stdout a pipe whose reader is already gone;
+    returns the exit status and stderr."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(stabreg.__file__).resolve().parent.parent)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    try:
+        result = subprocess.run([sys.executable, "-m", "stabreg.cli", *argv],
+                                stdout=write_end, stderr=subprocess.PIPE, text=True,
+                                env=env, timeout=300)
+    finally:
+        os.close(write_end)
+    return result.returncode, result.stderr
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+def test_closed_stdout_exits_141_quietly(config_file, tmp_path, unbuffered):
+    # a reader that stops early (``stabreg check ... | head -1``) is not a
+    # verdict: 1 would say the trace never stabilizes or the lemma failed.
+    # Buffered, the short verdict first meets the closed pipe when flushed.
+    main(["run", "--config", str(config_file), "--out", str(tmp_path)])
+    check = ["check", str(tmp_path / "trace-3.jsonl"),
+             "--metrics", str(tmp_path / "metrics-3.json")]
+    game = ["game", "--m", "3", "--seeds", "50", "--transcript"]
+    for argv in (check, game):
+        assert closed_stdout_run(argv, unbuffered) == (141, ""), argv[0]
 
 
 def test_game_rejects_unknown_strategy(capsys):

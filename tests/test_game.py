@@ -11,7 +11,7 @@ from stabreg.game import (
     make_hider,
     play,
 )
-from stabreg.labels import LabelParams, precedes_b, random_label
+from stabreg.labels import Label, LabelParams, precedes_b, random_label
 from stabreg.timestamps import EpochsQueue
 
 
@@ -123,6 +123,18 @@ def test_undersized_queue_can_lose():
         if not result.won or result.winning_round > m + 1:
             losses += 1
     assert losses > 0
+
+
+def test_max_incomparable_exposes_the_least_recently_exposed_witness():
+    # three pairwise-incomparable labels, each one's sting among the others'
+    # antistings, and a proposal above none of them: all three are witnesses
+    a, b, c = Label(1, (2, 3)), Label(2, (1, 3)), Label(3, (1, 2))
+    above_none = Label(4, (5, 6))
+    hider = STRATEGIES["max-incomparable"]([a, b, c], random.Random(0))
+    assert [hider.respond(above_none) for _ in range(4)] == [a, b, c, a]
+    # a proposal above b alone leaves c and a, and c was exposed longer ago
+    assert precedes_b(b, Label(4, (2, 5)))
+    assert hider.respond(Label(4, (2, 5))) == c
 
 
 def test_rejects_bad_m():

@@ -385,6 +385,7 @@ def test_potential_catches_a_rising_potential():
     sim.links[(1, 2)].append(Message(QW_REQ, (1, 0), 1, 2, (10**9, "forged")))
     sim.potential.check(0, None)
     assert sim.potential.violations == [sim.step_count]
+    assert sim.metrics()["g_violations"] == [sim.step_count]
 
 
 def test_potential_catches_a_flat_potential(monkeypatch):
