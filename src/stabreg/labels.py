@@ -8,8 +8,8 @@ collection of at most k labels, even mutually incomparable ones that no
 generator ever produced, ``next_label`` builds a label strictly above all of
 them.  Its sting is the lowest element outside every input antisting set:
 ``next_label`` checks and searches any list, taking the union window by
-window, and ``next_label_covered`` searches a union that the caller
-(``EpochsQueue``) keeps up to date over labels it checked on entry.
+window, and ``next_label_covered`` reads the union, the count and the
+stings that the caller (``EpochsQueue``) keeps over labels it checked.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from __future__ import annotations
 import itertools
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Collection, Iterable, Iterator, Optional, Sequence
 
 
 class LabelError(ValueError):
@@ -102,26 +102,29 @@ def next_label(labels: Iterable[Label], params: LabelParams) -> Label:
     labels = list(labels)
     for lab in labels:
         check_shape(lab, params)
-    return _next_label(labels, params, _free_elements(labels, params.universe_size))
+    return _next_label(len(labels), {lab.sting for lab in labels}, params,
+                       _free_elements(labels, params.universe_size))
 
 
-def next_label_covered(labels: list[Label], covered: bytearray, params: LabelParams) -> Label:
-    """``next_label(labels, params)`` for labels whose shape the caller has
-    checked, where ``covered[x]`` is nonzero exactly when some label holds
-    antisting x (elements past its end: none does)."""
-    return _next_label(labels, params, _uncovered(covered))
+def next_label_covered(count: int, stings: Collection[int], covered: bytearray,
+                       params: LabelParams) -> Label:
+    """``next_label(labels, params)`` for ``count`` labels whose shape the
+    caller has checked, given their distinct ``stings`` (a set, or a dict
+    keyed by them) and ``covered``, where ``covered[x]`` is nonzero exactly
+    when some label holds antisting x (elements past its end: none does)."""
+    return _next_label(count, stings, params, _uncovered(covered))
 
 
-def _next_label(labels: Sequence[Label], params: LabelParams, free: Iterator[int]) -> Label:
-    """The label above ``labels``; ``free`` yields the elements outside
-    every input antisting set in ascending order."""
+def _next_label(count: int, stings: Collection[int], params: LabelParams,
+                free: Iterator[int]) -> Label:
+    """The label above ``count`` labels with the distinct ``stings``; ``free``
+    yields the elements outside every input antisting set in ascending order."""
     k, K = params.k, params.universe_size
-    if len(labels) > k:
-        raise LabelError(f"next_label takes at most k={k} labels, got {len(labels)}")
-    if not labels:
+    if count > k:
+        raise LabelError(f"next_label takes at most k={k} labels, got {count}")
+    if not count:
         return Label(1, tuple(range(1, k + 1)))
 
-    stings = {lab.sting for lab in labels}
     top, antistings = _padded(stings, k)
     fallback = sting = next(free)
     while sting <= top or sting in stings:
@@ -129,7 +132,7 @@ def _next_label(labels: Sequence[Label], params: LabelParams, free: Iterator[int
     return Label(sting if sting <= K else fallback, antistings)
 
 
-def _padded(stings: set[int], k: int) -> tuple[int, tuple[int, ...]]:
+def _padded(stings: Collection[int], k: int) -> tuple[int, tuple[int, ...]]:
     """``stings`` padded to k elements with the least others, which fill
     1..top: (top, the sorted antistings)."""
     ordered = sorted(stings)

@@ -25,6 +25,7 @@ state.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import filterfalse
 from typing import Any, NamedTuple, Optional
 
 from .labels import Label, LabelParams, next_label, precedes_b
@@ -133,6 +134,7 @@ class QuorumProcessor:
         self._nonce_counter = 0
         self.pending_value: Optional[str] = None
         self._peers = [d for d in range(params.n) if d != pid]
+        self._quorum = params.quorum
 
     # -- operations ----------------------------------------------------
 
@@ -178,7 +180,7 @@ class QuorumProcessor:
         responses = ph.responses
         # never empty: responses holds the sender itself, and a live phase
         # has under quorum <= n - 1 of them
-        pending = [d for d in self._peers if d not in responses]
+        pending = list(filterfalse(responses.__contains__, self._peers))
         dest = pending[ph.rr % len(pending)]
         ph.rr += 1
         ph.distinct_requests.add(dest)
@@ -203,11 +205,11 @@ class QuorumProcessor:
             return None  # no phase in flight, or a stale nonce: discard
         if kind == QR_RESP and ph.kind == QR_REQ:
             ph.responses[msg.sender] = msg.payload
-            if len(ph.responses) >= self.params.quorum:
+            if len(ph.responses) >= self._quorum:
                 self.on_quorum_read_done()
         elif kind == QW_ACK and ph.kind == QW_REQ:
             ph.responses[msg.sender] = True
-            if len(ph.responses) >= self.params.quorum:
+            if len(ph.responses) >= self._quorum:
                 self.on_quorum_write_done()
         return None
 

@@ -325,6 +325,11 @@ class Simulation:
         sends, drops = stats["message_sends"], stats["dropped_messages"]
         # the getrandbits width of each size the hot draws below take
         bits = [size.bit_length() for size in range(max(cfg.n, c + 1) + 1)]
+        # the (i, width) draws of a shuffle of each schedule size
+        plans = [[(i, bits[i + 1]) for i in range(size - 1, 0, -1)] for size in range(cfg.n + 1)]
+        # the end test: _phase_done alone counts writes, so it is read
+        # again only after that call
+        winding = stats["writes_completed"] >= writes
         step_count = self.step_count
         while step_count < steps:
             step_count += 1
@@ -336,9 +341,8 @@ class Simulation:
                 # appears once per shuffled round, so any window of 2 * n
                 # steps covers all.  Fisher-Yates, as random.shuffle draws.
                 schedule.extend(live)
-                for i in range(len(schedule) - 1, 0, -1):
-                    k = bits[i + 1]  # _below(getrandbits, i + 1) written out
-                    j = getrandbits(k)
+                for i, k in plans[len(schedule)]:
+                    j = getrandbits(k)  # _below(getrandbits, i + 1) written out
                     while j > i:
                         j = getrandbits(k)
                     schedule[i], schedule[j] = schedule[j], schedule[i]
@@ -390,11 +394,12 @@ class Simulation:
                         outbox.append(reply)
                     if proc.phase is not phase:
                         self._phase_done(pid, proc, phase)
+                        winding = stats["writes_completed"] >= writes
 
             if checks:
                 for check in checks:
                     check(pid, msg)
-            if stats["writes_completed"] >= writes and all(procs[i].idle for i in live):
+            if winding and all(procs[i].idle for i in live):
                 break
         stats["message_sends"], stats["dropped_messages"] = sends, drops
         return self.metrics()

@@ -9,7 +9,6 @@ bound the next timestamp opens a fresh epoch dominating the whole queue.
 
 from __future__ import annotations
 
-from array import array
 from dataclasses import dataclass
 from typing import Optional
 
@@ -57,8 +56,9 @@ class EpochsQueue:
     capacity is at most ``params.k``, so a full queue can still be searched.
     For ``next_label`` the queue keeps the union of its antistings:
     ``covered[x]`` is 1 while some label holds x, and ``_counts[x]`` counts
-    them.  Both change only when a label enters or leaves, up to the largest
-    antisting ever held.
+    them, up to the largest antisting ever held; ``_stings`` maps each sting
+    a label holds to the number of labels holding it.  All three change
+    only when a label enters or leaves.
     """
 
     def __init__(self, capacity: int, params: LabelParams):
@@ -70,8 +70,9 @@ class EpochsQueue:
         self.params = params
         # Insertion-ordered dict used as a set: last key = newest.
         self._entries: dict[Label, None] = {}
-        self._counts = array("I")
+        self._counts: list[int] = []
         self.covered = bytearray()
+        self._stings: dict[int, int] = {}
 
     def enqueue(self, label: Label) -> None:
         entries = self._entries
@@ -80,14 +81,16 @@ class EpochsQueue:
             return
         check_shape(label, self.params)
         anti = label.antistings
-        counts, covered = self._counts, self.covered
+        counts, covered, stings = self._counts, self.covered, self._stings
         grow = anti[-1] + 1 - len(covered)
         if grow > 0:
-            counts.frombytes(bytes(grow * counts.itemsize))
+            counts += [0] * grow
             covered += bytes(grow)
         for a in anti:
             counts[a] += 1
             covered[a] = 1
+        sting = label.sting
+        stings[sting] = stings.get(sting, 0) + 1
         if len(entries) >= self.capacity:
             oldest = next(iter(entries))
             del entries[oldest]
@@ -95,11 +98,14 @@ class EpochsQueue:
                 counts[a] -= 1
                 if not counts[a]:
                     covered[a] = 0
+            left = stings.pop(oldest.sting) - 1
+            if left:
+                stings[oldest.sting] = left
         entries[label] = None
 
     def next_label(self) -> Label:
         """``labels.next_label(self.entries, self.params)``, read off the union."""
-        return next_label_covered(list(self._entries), self.covered, self.params)
+        return next_label_covered(len(self._entries), self._stings, self.covered, self.params)
 
     @property
     def entries(self) -> list[Label]:

@@ -195,10 +195,11 @@ def covered_bytes(labels: list) -> bytearray:
 def test_next_label_covered_matches_set_scan(case):
     params, labels = case
     expected = set_scan_next_label(labels, params)
-    assert next_label_covered(labels, covered_bytes(labels), params) == expected
+    stings = {lab.sting for lab in labels}
+    assert next_label_covered(len(labels), stings, covered_bytes(labels), params) == expected
     # a union array longer than the antistings it holds changes nothing
     padded = covered_bytes(labels) + bytes(params.universe_size)
-    assert next_label_covered(labels, padded, params) == expected
+    assert next_label_covered(len(labels), stings, padded, params) == expected
 
 
 def test_next_label_finds_a_free_element_past_many_windows():

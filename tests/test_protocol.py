@@ -208,6 +208,21 @@ def test_read_writeback_never_downgrades_replica():
     assert reader.value == "newer"
 
 
+def test_next_send_round_robins_over_peers_yet_to_respond():
+    params = ProtocolParams(5, k_override=8)
+    reader, replica = BoundedReader(2, params), BoundedReader(4, params)
+    reader.start_read()
+    nonce = reader.phase.nonce
+    assert reader.on_message(Message(QR_RESP, nonce, 4, 2, replica.snapshot())) is None
+    # the reader and 4 have responded: the requests cycle over 0, 1 and 3
+    assert [reader.next_send().dest for _ in range(4)] == [0, 1, 3, 0]
+    # a response from 1 would end the phase on the quorum of 3 if
+    # delivered, so it is set directly; the cycle goes on over 0 and 3
+    reader.phase.responses[1] = replica.snapshot()
+    assert [reader.next_send().dest for _ in range(3)] == [0, 3, 0]
+    assert reader.phase.distinct_requests == {0, 1, 3}
+
+
 def test_stale_nonce_response_discarded():
     params, procs, _ = make_system()
     writer = procs[0]

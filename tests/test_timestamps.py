@@ -1,3 +1,5 @@
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -145,6 +147,19 @@ def test_queue_keeps_the_antisting_union(case):
         union = set().union(*(lab.antistings for lab in q.entries))
         assert {x for x, flag in enumerate(q.covered) if flag} == union
         assert q.next_label() == set_scan_next_label(q.entries, params)
+
+
+def test_queue_counts_its_stings_through_moves_and_evictions():
+    shared_a, shared_b = make_label(1, {2, 3}), make_label(1, {4, 5})
+    other, fresh = make_label(2, {3, 4}), make_label(3, {1, 5})
+    q = EpochsQueue(2, P2)
+    # two labels share sting 1; a move to the front, then each of them is
+    # evicted in turn, the first while the other still holds sting 1
+    for label in [shared_a, shared_b, shared_a, other, fresh, shared_b]:
+        q.enqueue(label)
+        assert q._stings == Counter(lab.sting for lab in q.entries)
+        assert q.next_label() == set_scan_next_label(q.entries, P2)
+    assert q.entries == [shared_b, fresh]
 
 
 @pytest.mark.parametrize("label", [
