@@ -82,6 +82,8 @@ def precedes_b(a: Label, b: Label) -> bool:
     Antisymmetric by construction; many pairs are incomparable, and a label
     never precedes itself.
     """
+    if a is b:
+        return False
     anti, x = b.antistings, a.sting
     i = bisect_right(anti, x)
     if not i or anti[i - 1] != x:

@@ -24,7 +24,7 @@ state.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import filterfalse
 from typing import Any, NamedTuple, Optional
 
@@ -105,16 +105,22 @@ class ProtocolParams:
 INITIAL_VALUE = "v_init"
 
 
-@dataclass
 class Phase:
-    """One in-flight quorum phase with round-robin retransmission."""
+    """One in-flight quorum phase with round-robin retransmission.
 
-    kind: str  # QR_REQ or QW_REQ
-    nonce: tuple[int, int]
-    payload: Any = None
-    responses: dict[int, Any] = field(default_factory=dict)
-    rr: int = 0
-    distinct_requests: set[int] = field(default_factory=set)
+    ``kind`` is QR_REQ or QW_REQ; ``responses`` maps each pid that has
+    answered, the sender included, to its answer; ``rr`` counts the
+    requests sent so far.
+    """
+
+    __slots__ = ("kind", "nonce", "payload", "responses", "rr")
+
+    def __init__(self, kind: str, nonce: tuple[int, int], payload: Any = None):
+        self.kind = kind
+        self.nonce = nonce
+        self.payload = payload
+        self.responses: dict[int, Any] = {}
+        self.rr = 0
 
 
 class QuorumProcessor:
@@ -149,10 +155,9 @@ class QuorumProcessor:
         self.phase.responses[self.pid] = self.snapshot()
 
     def on_quorum_read_done(self) -> None:
-        ph = self.phase
-        responses = [ph.responses[pid] for pid in sorted(ph.responses)]
+        responses = self.phase.responses
         self.phase = None
-        payload = self.choose(responses)
+        payload = self.choose([*map(responses.__getitem__, sorted(responses))])
         if payload is None:
             return  # the read aborts
         # open the write phase, applying it locally as one's own ack
@@ -178,12 +183,15 @@ class QuorumProcessor:
         if ph is None:
             return None
         responses = ph.responses
-        # never empty: responses holds the sender itself, and a live phase
-        # has under quorum <= n - 1 of them
-        pending = list(filterfalse(responses.__contains__, self._peers))
+        # responses holds the sender itself, so while it holds one answer
+        # every peer is pending; pending is never empty, as a live phase
+        # has under quorum <= n - 1 answers
+        if len(responses) == 1:
+            pending = self._peers
+        else:
+            pending = [*filterfalse(responses.__contains__, self._peers)]
         dest = pending[ph.rr % len(pending)]
         ph.rr += 1
-        ph.distinct_requests.add(dest)
         return _new(Message, (ph.kind, ph.nonce, self.pid, dest, ph.payload))
 
     @property
@@ -253,25 +261,26 @@ class BoundedWriter(QuorumProcessor):
 
     def apply_quorum_write(self, payload) -> None:
         ts, _value = payload
-        if ts != self.ml:
+        # most writes carry the writer's own ml object: `is` settles
+        # them without a call of the dataclass __eq__
+        if ts is not self.ml and ts != self.ml:
             self.epochs.enqueue(ts.epoch)
 
     def choose(self, responses):
+        ml, epochs = self.ml, self.epochs
         for ml_i, cl_i, _v in responses:
-            if ml_i != self.ml:
-                self.epochs.enqueue(ml_i.epoch)
-            if cl_i is not None and cl_i != self.ml:
-                self.epochs.enqueue(cl_i.epoch)
-        old_epoch = self.ml.epoch
-        if all(
-            dominates(self.ml, ml_i) and dominates(self.ml, cl_i)
-            for ml_i, cl_i, _v in responses
-        ):
-            self.ml = next_timestamp(self.ml, self.epochs, self.params.r)
+            if ml_i != ml:
+                epochs.enqueue(ml_i.epoch)
+            if cl_i is not None and cl_i != ml:
+                epochs.enqueue(cl_i.epoch)
+        for ml_i, cl_i, _v in responses:
+            if not (dominates(ml, ml_i) and dominates(ml, cl_i)):
+                epochs.enqueue(ml.epoch)
+                self.ml = Timestamp(epochs.next_label(), 0)
+                break
         else:
-            self.epochs.enqueue(self.ml.epoch)
-            self.ml = Timestamp(self.epochs.next_label(), 0)
-        if self.ml.epoch != old_epoch:
+            self.ml = next_timestamp(ml, epochs, self.params.r)
+        if self.ml.epoch != ml.epoch:
             self.epoch_changes += 1
         self.value = self.pending_value
         return (self.ml, self.value)  # own member rule: no-op
@@ -292,19 +301,24 @@ class BoundedReader(QuorumProcessor):
 
     def apply_quorum_write(self, payload) -> None:
         ts, value = payload
-        if precedes_e(self.ml, ts) and (self.cl is None or precedes_e(self.cl, ts)):
+        ml = self.ml
+        if ts is ml:
+            # a repeat of the write that set ml, not above it: the last
+            # branch, as an epoch never precedes itself
+            self.cl = ts
+        elif precedes_e(ml, ts) and (self.cl is None or precedes_e(self.cl, ts)):
             self.ml = ts
             self.cl = None
             self.value = value
-        elif not precedes_b(ts.epoch, self.ml.epoch):
+        elif not precedes_b(ts.epoch, ml.epoch):
             self.cl = ts
 
     def choose(self, responses):
-        for ml_m, cl_m, v_m in responses:
-            if all(
-                dominates(ml_m, ml_i) and (cl_i is None or dominates(ml_m, cl_i))
-                for ml_i, cl_i, _v in responses
-            ):
+        for ml_m, _cl_m, v_m in responses:
+            for ml_i, cl_i, _v in responses:
+                if not (dominates(ml_m, ml_i) and (cl_i is None or dominates(ml_m, cl_i))):
+                    break
+            else:
                 return (ml_m, v_m)
         return None
 

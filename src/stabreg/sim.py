@@ -196,6 +196,9 @@ class Simulation:
                          for j in range(n)]
         self.outboxes: list[list[Message]] = [[] for _ in range(n)]
         self._send_toggle = [False] * n
+        # the destinations of the requests that each processor's current
+        # phase has sent, for the max_phase_requests metric
+        self._requested: list[set[int]] = [set() for _ in range(n)]
         self._schedule: list[int] = []
         # the run's measurements by metric name, each updated where it
         # happens; metrics() adds the three it derives
@@ -264,9 +267,12 @@ class Simulation:
         and record the response of the operation it ended, if any."""
         stats = self.stats
         stats["completed_phases"] += 1
-        stats["max_phase_requests"] = max(stats["max_phase_requests"],
-                                          len(phase.distinct_requests))
-        stats["max_phase_responses"] = max(stats["max_phase_responses"], len(phase.responses))
+        requested = self._requested[pid]
+        if len(requested) > stats["max_phase_requests"]:
+            stats["max_phase_requests"] = len(requested)
+        requested.clear()
+        if len(phase.responses) > stats["max_phase_responses"]:
+            stats["max_phase_responses"] = len(phase.responses)
         op_id = self._op_ids[pid]
         if proc.phase is not None or op_id is None:
             return  # the write phase follows, or the start planted the operation
@@ -314,13 +320,14 @@ class Simulation:
         or until the step budget runs out.
 
         Each step lets the next processor of the shuffled round send or
-        receive once.
+        receive once.  ``self.step_count`` is stored only before the calls
+        that read it, and when the loop ends.
         """
         cfg = self.config
         c, loss_prob, writes, steps = cfg.c, cfg.loss_prob, cfg.writes, cfg.steps
         random_, getrandbits = self.rng.random, self.rng.getrandbits
         procs, outboxes, inbound = self.procs, self.outboxes, self._inbound
-        toggle, schedule = self._send_toggle, self._schedule
+        toggle, schedule, requested = self._send_toggle, self._schedule, self._requested
         pending, live, checks, stats = self._pending_crashes, self._live, self.checks, self.stats
         sends, drops = stats["message_sends"], stats["dropped_messages"]
         # the getrandbits width of each size the hot draws below take
@@ -330,11 +337,15 @@ class Simulation:
         # the end test: _phase_done alone counts writes, so it is read
         # again only after that call
         winding = stats["writes_completed"] >= writes
+        # a phase asks at most its n - 1 peers: once one has, the metric is
+        # settled and the destinations are no longer collected
+        ceiling = cfg.n - 1
+        counting = stats["max_phase_requests"] < ceiling
         step_count = self.step_count
         while step_count < steps:
             step_count += 1
-            self.step_count = step_count
             if pending and pending[-1][0] <= step_count:
+                self.step_count = step_count
                 self._apply_crashes()
             if not schedule:
                 # Round-based fairness floor: every non-crashed processor
@@ -349,6 +360,7 @@ class Simulation:
             pid = schedule.pop()
             proc = procs[pid]
             if proc.phase is None:
+                self.step_count = step_count
                 self._poll_client(pid, proc)
 
             outbox = outboxes[pid]
@@ -356,7 +368,12 @@ class Simulation:
             if outbox or proc.phase is not None:
                 toggle[pid] = send = not toggle[pid]
                 if send:
-                    msg = outbox.pop(0) if outbox else proc.next_send()
+                    if outbox:
+                        msg = outbox.pop(0)
+                    else:
+                        msg = proc.next_send()
+                        if counting:
+                            requested[pid].add(msg.dest)
             if msg is not None:
                 sends += 1
                 if random_() < loss_prob:
@@ -372,7 +389,7 @@ class Simulation:
             else:
                 # mostly drain nonempty links, but keep null receives possible
                 boxes = inbound[pid]
-                nonempty = list(filter(None, boxes))
+                nonempty = [*filter(None, boxes)]
                 if nonempty and random_() < 0.9:
                     size = len(nonempty)
                     k = bits[size]  # _below(getrandbits, size) written out
@@ -393,14 +410,18 @@ class Simulation:
                     if reply is not None:
                         outbox.append(reply)
                     if proc.phase is not phase:
+                        self.step_count = step_count
                         self._phase_done(pid, proc, phase)
                         winding = stats["writes_completed"] >= writes
+                        counting = stats["max_phase_requests"] < ceiling
 
             if checks:
+                self.step_count = step_count
                 for check in checks:
                     check(pid, msg)
             if winding and all(procs[i].idle for i in live):
                 break
+        self.step_count = step_count
         stats["message_sends"], stats["dropped_messages"] = sends, drops
         return self.metrics()
 

@@ -43,7 +43,15 @@ def precedes_e(a: MaybeTimestamp, b: MaybeTimestamp) -> bool:
 
 def dominates(a: MaybeTimestamp, b: MaybeTimestamp) -> bool:
     """Non-strict: b is bottom, equal to a, or strictly below a."""
-    return b is None or a is b or a == b or precedes_e(b, a)
+    if b is None or a is b:
+        return True
+    if a is None:
+        return False
+    # equal epochs: equal or lower seq; else the epoch order alone
+    ea, eb = a.epoch, b.epoch
+    if ea is eb or ea == eb:
+        return b.seq <= a.seq
+    return precedes_b(eb, ea)
 
 
 class EpochsQueue:

@@ -18,13 +18,18 @@ eviction and the link of a possibly null receive.  Only a corrupted start
 still goes through ``random``'s pure-Python ``randint`` and ``sample``.
 Event lines are written from a template to the bytes ``json.dumps`` gives
 with sorted keys, so these hashes also hold the template to the encoder.
+
+The grid adds one hash over many short runs, so that a speed-up is held to
+every path a run can take and not only to the eight cases: both protocols
+under every corruption mode each accepts, n = 3, 5 and 7, lossless and
+lossy links, with and without a crash, a third of them audited.
 """
 
 import hashlib
 import json
 
 from stabreg.labels import format_label
-from stabreg.sim import ScenarioConfig, Simulation, run_scenario
+from stabreg.sim import PROTOCOLS, ScenarioConfig, Simulation, run_scenario
 from stabreg.timestamps import format_timestamp
 
 # (name, config keywords, audit, sha256 of the lines and the metrics,
@@ -77,6 +82,38 @@ CASES = [
 ]
 
 
+# sha256 of the lines, the metrics and the final labels of every GRID run
+GRID_DIGEST = "482e807415e1be9a9e727f270d1cbb7cf939ed3204c8ec395e42b287c0381464"
+
+
+def grid():
+    """(config keywords, audit) of each grid run, in hash order."""
+    runs = []
+    for protocol, modes in sorted((name, sorted(spec[2])) for name, spec in PROTOCOLS.items()):
+        for corruption in modes:
+            for n in (3, 5, 7):
+                for loss_prob in (0.0, 0.1):
+                    for crashes in ([], [(40, n - 1)]):
+                        index = len(runs)
+                        runs.append((dict(n=n, seed=100 + index, steps=4000, writes=8,
+                                          c=1 + index % 2, r=2, loss_prob=loss_prob,
+                                          corruption=corruption, protocol=protocol,
+                                          crashes=crashes),
+                                     index % 3 == 0))
+    return runs
+
+
+def grid_digest() -> str:
+    h = hashlib.sha256()
+    for config_kwargs, audit in grid():
+        sim = Simulation(ScenarioConfig(**config_kwargs), audit=audit)
+        metrics = sim.run()
+        blob = "\n".join([*sim.lines, json.dumps(metrics, sort_keys=True),
+                          *final_labels(sim)]) + "\n"
+        h.update(blob.encode())
+    return h.hexdigest()
+
+
 def run_digest(config_kwargs: dict, audit: bool) -> str:
     lines, metrics = run_scenario(ScenarioConfig(**config_kwargs), audit=audit)
     blob = "\n".join(lines) + "\n" + json.dumps(metrics, sort_keys=True)
@@ -116,9 +153,16 @@ def test_golden_labels():
         assert label_digest(config_kwargs, audit) == labels, name
 
 
+def test_golden_grid():
+    assert grid_digest() == GRID_DIGEST
+
+
 if __name__ == "__main__":
     for name, config_kwargs, audit, digest, labels in CASES:
         got = run_digest(config_kwargs, audit), label_digest(config_kwargs, audit)
         ok = got == (digest, labels)
         print(f"{'ok  ' if ok else 'FAIL'} {name} {got[0]} labels {got[1]}")
         assert ok, name
+    got = grid_digest()
+    print(f"{'ok  ' if got == GRID_DIGEST else 'FAIL'} grid {got}")
+    assert got == GRID_DIGEST, "grid"

@@ -212,15 +212,19 @@ def test_next_send_round_robins_over_peers_yet_to_respond():
     params = ProtocolParams(5, k_override=8)
     reader, replica = BoundedReader(2, params), BoundedReader(4, params)
     reader.start_read()
+    # only the reader itself has answered: the requests cycle over all
+    # n - 1 peers in pid order
+    assert [reader.next_send().dest for _ in range(8)] == [0, 1, 3, 4, 0, 1, 3, 4]
     nonce = reader.phase.nonce
     assert reader.on_message(Message(QR_RESP, nonce, 4, 2, replica.snapshot())) is None
-    # the reader and 4 have responded: the requests cycle over 0, 1 and 3
-    assert [reader.next_send().dest for _ in range(4)] == [0, 1, 3, 0]
+    # the reader and 4 have responded: the requests cycle over 0, 1 and 3,
+    # from the ninth request on (8 % 3 == 2)
+    assert [reader.next_send().dest for _ in range(4)] == [3, 0, 1, 3]
     # a response from 1 would end the phase on the quorum of 3 if
     # delivered, so it is set directly; the cycle goes on over 0 and 3
     reader.phase.responses[1] = replica.snapshot()
     assert [reader.next_send().dest for _ in range(3)] == [0, 3, 0]
-    assert reader.phase.distinct_requests == {0, 1, 3}
+    assert reader._peers == [0, 1, 3, 4]  # the cycle left the peer list alone
 
 
 def test_stale_nonce_response_discarded():
@@ -281,7 +285,6 @@ def test_write_reports_its_two_phases():
     assert [(pid, phase.kind) for pid, phase in finished] == [(0, QR_REQ), (0, QW_REQ)]
     for _pid, phase in finished:
         assert len(phase.responses) == params.quorum
-        assert 1 <= len(phase.distinct_requests) <= params.n - 1
 
 
 def test_oracle_write_read_cycle():

@@ -9,7 +9,7 @@ import pytest
 
 from stabreg import adversary
 from stabreg.checker import find_stabilization, parse_trace
-from stabreg.protocol import INITIAL_VALUE, QW_REQ, Message
+from stabreg.protocol import INITIAL_VALUE, QW_REQ, Message, QuorumProcessor
 from stabreg.timestamps import Timestamp
 from stabreg.sim import (
     Potential,
@@ -449,6 +449,47 @@ def test_phase_message_bound(overrides, aborts):
     assert metrics["completed_phases"] == 2 * (
         metrics["writes_completed"] + metrics["reads_completed"]
     ) + metrics["reads_aborted"]
+
+
+@pytest.mark.parametrize("overrides", [
+    {"steps": 60, "seed": 1},  # three phases, none of which asked every peer
+    # no phase asked every peer, though one processor's phases did between them
+    {"steps": 150, "seed": 11},
+    {"n": 3, "steps": 20, "seed": 1},  # two phases, each asked one of two peers
+    {},
+    {"corruption": "random", "loss_prob": 0.1, "crashes": [(300, 4)]},
+    {"protocol": "oracle", "n": 7},
+], ids=["short-n5", "phases-n5", "short-n3", "clean", "random-lossy-crash", "oracle-n7"])
+def test_max_phase_requests_counts_each_phases_distinct_destinations(monkeypatch, overrides):
+    # the destinations of next_send's requests, by the phase that sent them
+    sent: dict[int, tuple] = {}
+    next_send = QuorumProcessor.next_send
+
+    def recording(proc):
+        msg = next_send(proc)
+        if msg is not None:
+            sent.setdefault(id(proc.phase), (proc.phase, set()))[1].add(msg.dest)
+        return msg
+
+    finished = []
+    phase_done = Simulation._phase_done
+
+    def recording_done(sim, pid, proc, phase):
+        finished.append(phase)
+        phase_done(sim, pid, proc, phase)
+
+    monkeypatch.setattr(QuorumProcessor, "next_send", recording)
+    monkeypatch.setattr(Simulation, "_phase_done", recording_done)
+    config = small_config(**overrides)
+    _, metrics = run_scenario(config)
+    counts = [len(sent[id(phase)][1]) for phase in finished]
+    assert counts, "no phase finished"
+    # every finished phase asked at least one peer and at most all n - 1,
+    # and the metric is the most any of them asked; replies from an
+    # outbox count for none
+    assert all(1 <= count <= config.n - 1 for count in counts)
+    assert metrics["max_phase_requests"] == max(counts)
+    assert metrics["completed_phases"] == len(finished)
 
 
 @pytest.mark.parametrize("pid", [1, 0], ids=["reader", "writer"])

@@ -1,10 +1,12 @@
+import random
 from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from stabreg import timestamps
-from stabreg.labels import Label, LabelError, LabelParams, all_labels, make_label
+from stabreg.labels import (Label, LabelError, LabelParams, all_labels, incomparable_family,
+                            make_label, next_label, precedes_b, random_label)
 from stabreg.timestamps import (
     BOTTOM,
     EpochsQueue,
@@ -57,6 +59,62 @@ def test_dominates_is_nonstrict():
     a = Timestamp(make_label(1, {2, 3}), 0)
     assert not dominates(a, other)
     assert not dominates(other, a)
+
+
+@st.composite
+def timestamp_pairs(draw):
+    """(a, b): timestamps, or None, over a small pool of epochs: random
+    labels, an incomparable family and a label above some of them.  The two
+    sides share label or timestamp objects, or hold equal copies rebuilt
+    from the same fields, so identity and equality are each tried apart."""
+    params = LabelParams(draw(st.sampled_from([2, 3, 4])))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    pool = [random_label(rng, params) for _ in range(draw(st.integers(0, 3)))]
+    pool += incomparable_family(draw(st.integers(1, params.k)), params, rng)
+    pool.append(next_label(pool[-params.k:], params))
+
+    def timestamp():
+        if draw(st.integers(0, 5)) == 0:
+            return None
+        return Timestamp(draw(st.sampled_from(pool)), draw(st.integers(0, 3)))
+
+    def copy(ts):
+        if ts is None:
+            return None
+        epoch = ts.epoch
+        return Timestamp(Label(epoch.sting, tuple(list(epoch.antistings))), ts.seq)
+
+    a = timestamp()
+    how = draw(st.sampled_from(["drawn", "same", "copy", "shared-epoch", "copied-epoch"]))
+    if how == "drawn" or a is None:
+        b = timestamp()
+    elif how == "same":
+        b = a
+    elif how == "copy":
+        b = copy(a)
+    else:
+        epoch = a.epoch if how == "shared-epoch" else copy(a).epoch
+        b = Timestamp(epoch, draw(st.integers(0, 3)))
+    return (a, b) if draw(st.booleans()) else (b, a)
+
+
+@settings(max_examples=500, deadline=None)
+@given(timestamp_pairs())
+def test_dominates_is_equal_or_strictly_above(pair):
+    a, b = pair
+    assert dominates(a, b) == (b is None or a == b or precedes_e(b, a))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(2, 6), st.data())
+def test_a_label_never_precedes_itself(k, data):
+    # a sting inside its own antistings passes precedes_b's first test, so
+    # only the second, against the same label, rules the pair out
+    universe = range(1, k * k + 2)
+    antistings = data.draw(st.sets(st.sampled_from(universe), min_size=k, max_size=k))
+    label = make_label(data.draw(st.sampled_from(sorted(antistings))), antistings)
+    assert not precedes_b(label, label)
+    assert not precedes_b(label, Label(label.sting, tuple(list(label.antistings))))
 
 
 def test_queue_move_to_front():
