@@ -37,7 +37,8 @@ def _random(sim) -> None:
         proc.value = f"corrupt#{proc.pid}"
         if proc.pid != WRITER_ID:
             proc.cl = cl[proc.pid]
-    # forged quorum traffic, up to each link's capacity
+    # forged quorum traffic, up to each link's capacity, under nonce 0,
+    # which no phase holds
     for (i, j), box in sorted(sim.links.items()):
         for slot in range(cfg.c):
             if rng.random() < 0.3:
@@ -45,10 +46,10 @@ def _random(sim) -> None:
             ts = random_ts()
             tag = f"forged#{i}.{j}.{slot}"
             if rng.random() < 0.75:
-                box.append(Message(QW_REQ, (i, 0), i, j, (ts, tag)))
+                box.append(Message(QW_REQ, 0, i, j, (ts, tag)))
             else:
                 evidence = None if rng.random() < 0.5 else random_ts()
-                box.append(Message(QR_RESP, (i, 0), i, j, (ts, evidence, tag)))
+                box.append(Message(QR_RESP, 0, i, j, (ts, evidence, tag)))
 
 
 def _near_wrap(sim) -> None:
@@ -73,7 +74,7 @@ def _hidden_epoch(sim) -> None:
             label = family[idx % len(family)]
             idx += 1
             ts = Timestamp(label, rng.randint(0, cfg.r))
-            box.append(Message(QW_REQ, (i, 0), i, j, (ts, f"forged#{idx}")))
+            box.append(Message(QW_REQ, 0, i, j, (ts, f"forged#{idx}")))
 
 
 def _random_seqs(sim) -> None:

@@ -48,7 +48,7 @@ WRITER_ID = 0
 
 class Message(NamedTuple):
     kind: str
-    nonce: tuple[int, int]
+    nonce: int
     sender: int
     dest: int
     payload: Any = None
@@ -81,6 +81,8 @@ class ProtocolParams:
             raise ValueError("need n >= 3 processors")
         if self.c < 1 or self.r < 1:
             raise ValueError("need c >= 1 and r >= 1")
+        if self.k_override < 0 or self.k_override == 1:
+            raise ValueError("k_override must be 0 (derived from n and c) or >= 2")
 
     @property
     def hidden_epoch_bound(self) -> int:
@@ -113,11 +115,10 @@ class Phase:
     requests sent so far.
     """
 
-    __slots__ = ("kind", "nonce", "payload", "responses", "rr")
+    __slots__ = ("kind", "payload", "responses", "rr")
 
-    def __init__(self, kind: str, nonce: tuple[int, int], payload: Any = None):
+    def __init__(self, kind: str, payload: Any = None):
         self.kind = kind
-        self.nonce = nonce
         self.payload = payload
         self.responses: dict[int, Any] = {}
         self.rr = 0
@@ -129,15 +130,18 @@ class QuorumProcessor:
     Every operation is a quorum read phase, then a quorum write phase: the
     writer installs a new timestamp, a reader writes back the dominating one
     it found.  A protocol supplies ``snapshot`` and ``apply_quorum_write``
-    (the replica), ``choose`` (the write phase's payload), and, for readers,
-    ``adopt`` (whether the write-back is kept).
+    (the replica), ``choose`` (the write phase's payload from the read
+    phase's responses in pid order, or None to abort a read), and, for
+    readers, ``adopt`` (whether the write-back is kept).  ``nonce`` counts
+    the phases begun so far and names the current one: a request carries
+    it, and its reply comes back under it to the requester alone.
     """
 
     def __init__(self, pid: int, params: ProtocolParams):
         self.pid = pid
         self.params = params
         self.phase: Optional[Phase] = None
-        self._nonce_counter = 0
+        self.nonce = 0
         self.pending_value: Optional[str] = None
         self._peers = [d for d in range(params.n) if d != pid]
         self._quorum = params.quorum
@@ -174,8 +178,8 @@ class QuorumProcessor:
     # -- phase helpers -------------------------------------------------
 
     def _begin_phase(self, kind: str, payload=None) -> None:
-        self._nonce_counter += 1
-        self.phase = Phase(kind, (self.pid, self._nonce_counter), payload)
+        self.nonce += 1
+        self.phase = Phase(kind, payload)
 
     def next_send(self) -> Optional[Message]:
         """Next request retransmission for the in-flight phase, if any."""
@@ -192,7 +196,7 @@ class QuorumProcessor:
             pending = [*filterfalse(responses.__contains__, self._peers)]
         dest = pending[ph.rr % len(pending)]
         ph.rr += 1
-        return _new(Message, (ph.kind, ph.nonce, self.pid, dest, ph.payload))
+        return _new(Message, (ph.kind, self.nonce, self.pid, dest, ph.payload))
 
     @property
     def idle(self) -> bool:
@@ -209,7 +213,7 @@ class QuorumProcessor:
             self.apply_quorum_write(msg.payload)
             return _new(Message, (QW_ACK, msg.nonce, self.pid, msg.sender, None))
         ph = self.phase
-        if ph is None or msg.nonce != ph.nonce:
+        if ph is None or msg.nonce != self.nonce:
             return None  # no phase in flight, or a stale nonce: discard
         if kind == QR_RESP and ph.kind == QR_REQ:
             ph.responses[msg.sender] = msg.payload
@@ -220,23 +224,6 @@ class QuorumProcessor:
             if len(ph.responses) >= self._quorum:
                 self.on_quorum_write_done()
         return None
-
-    # -- hooks ---------------------------------------------------------
-
-    def snapshot(self):
-        raise NotImplementedError
-
-    def apply_quorum_write(self, payload) -> None:
-        raise NotImplementedError
-
-    def choose(self, responses: list):
-        """The write phase's (ts, value) payload from the read phase's
-        responses in pid order, or None to abort a read."""
-        raise NotImplementedError
-
-    def adopt(self, ts, value) -> None:
-        """A reader's update once its write-back is on a quorum."""
-        raise NotImplementedError
 
 
 # ---------------------------------------------------------------------------

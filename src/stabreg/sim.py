@@ -19,9 +19,7 @@ from . import adversary
 from .protocol import (QR_REQ, QR_RESP, QW_REQ, WRITER_ID, BoundedReader,
                        BoundedWriter, Message, OracleReader, OracleWriter, ProtocolParams)
 
-# one encoder for the header line (json.dumps with options makes one per call)
-_encode = json.JSONEncoder(sort_keys=True).encode
-# the string escaper _encode itself uses (ensure_ascii is on)
+# the string escaper json.dumps itself uses (ensure_ascii is on)
 _escape = json.encoder.encode_basestring_ascii
 
 
@@ -179,7 +177,8 @@ class Simulation:
         self.rng = random.Random(config.seed)
         self.step_count = 0
         # the trace: a header embedding the config, then one JSON event per line
-        self.lines = [_encode({"type": "header", "config": scenario_to_dict(config)})]
+        self.lines = [json.dumps({"type": "header", "config": scenario_to_dict(config)},
+                                 sort_keys=True)]
         # the pids not crashed, ascending: each round of the schedule is a
         # shuffle of this list
         self._live = list(range(config.n))
@@ -298,7 +297,7 @@ class Simulation:
                abort: bool = False) -> None:
         """Record one event as its trace line.
 
-        The line is the bytes ``_encode`` gives the event's dict, keys
+        The line is the bytes ``json.dumps`` gives the event's dict, keys
         sorted, written from a template: ``kind`` is one of the four event
         names, and a ``value`` that is not a ``str`` raises ``TypeError``.
         """

@@ -3,6 +3,10 @@
 Run with ``pytest tests/test_acceptance.py -s`` to see the per-criterion
 lines as they complete (without ``-s`` they appear in captured output).
 The slow criteria share their simulation runs through module fixtures.
+Criteria 4, 5 and 6 run their grids in the functions ``criterion_4``,
+``criterion_5`` and ``criterion_6``, which return the failures (criterion 6
+also the figures its line prints), so that a harness that patches the
+protocol can run the same grids as the tests.
 """
 
 import random
@@ -129,8 +133,8 @@ def test_criterion_3_game_lemma():
 # -- criteria 4 and 8 share the clean-start runs -----------------------------
 
 
-@pytest.fixture(scope="module")
-def clean_start_runs():
+def clean_start_grid():
+    """Criterion 4's runs, as (seed, metrics, verdict)."""
     runs = []
     for seed in range(50):
         config = ScenarioConfig(
@@ -142,21 +146,34 @@ def clean_start_runs():
     return runs
 
 
-def test_criterion_4_clean_start_atomic(clean_start_runs):
-    bad = [
+@pytest.fixture(scope="module")
+def clean_start_runs():
+    return clean_start_grid()
+
+
+def criterion_4(runs):
+    """The seeds of ``clean_start_grid()``'s runs that are not atomic from
+    the start or do not complete their 1000 writes."""
+    return [
         seed
-        for seed, metrics, verdict in clean_start_runs
+        for seed, metrics, verdict in runs
         if verdict.atomic_from != 0
         or verdict.violations
         or metrics["writes_completed"] != 1000
     ]
+
+
+def test_criterion_4_clean_start_atomic(clean_start_runs):
+    bad = criterion_4(clean_start_runs)
     ok = not bad
     report(4, ok, f"50 seeds, n=5 c=3 r=64, 1000 writes each, "
                   f"bad seeds: {bad if bad else 'none'}")
     assert ok
 
 
-def test_criterion_5_minority_crashes():
+def criterion_5():
+    """The seeds whose run with a crashed minority stalls a survivor, makes
+    no progress after the last crash, or is not atomic from the start."""
     bad = []
     for seed in range(20):
         rng = random.Random(seed + 9000)
@@ -184,6 +201,11 @@ def test_criterion_5_minority_crashes():
         if not (survivors_ok and progress_ok and writes_ok
                 and verdict.atomic_from == 0):
             bad.append(seed)
+    return bad
+
+
+def test_criterion_5_minority_crashes():
+    bad = criterion_5()
     ok = not bad
     report(5, ok, f"20 seeds, 2 crashes each, bad seeds: {bad if bad else 'none'}")
     assert ok
@@ -192,8 +214,10 @@ def test_criterion_5_minority_crashes():
 # -- criterion 6: stabilization from corrupted states ------------------------
 
 
-def test_criterion_6_stabilization():
-    started = time.perf_counter()
+def criterion_6():
+    """The corrupted-start runs that never stabilize, exceed the bound or
+    starve a reader after stabilizing, as (n, c, r, mode, seed), and the
+    figures criterion 6 reports."""
     seeds = 200
     failures = []
     cells = non_atomic = 0
@@ -229,13 +253,21 @@ def test_criterion_6_stabilization():
                             continue
                         non_atomic += verdict.atomic_from > 0
                         worst_ratio = max(worst_ratio, wbs / bound)
+    return failures, {"cells": cells, "seeds": seeds, "non_atomic": non_atomic,
+                      "worst_ratio": worst_ratio, "worst_abort": worst_abort}
+
+
+def test_criterion_6_stabilization():
+    started = time.perf_counter()
+    failures, figures = criterion_6()
     elapsed = time.perf_counter() - started
     ok = not failures
     failed = f"{len(failures)}, first {failures[:5]}" if failures else "none"
-    report(6, ok, f"{cells} cells x {seeds} seeds, {non_atomic} runs start "
-                  f"non-atomic, largest writes_before_stabilization/bound "
-                  f"{worst_ratio:.3f}, largest suffix abort fraction "
-                  f"{worst_abort:.3f}, failures: {failed}, {elapsed:.0f}s")
+    report(6, ok, f"{figures['cells']} cells x {figures['seeds']} seeds, "
+                  f"{figures['non_atomic']} runs start non-atomic, largest "
+                  f"writes_before_stabilization/bound {figures['worst_ratio']:.3f}, "
+                  f"largest suffix abort fraction {figures['worst_abort']:.3f}, "
+                  f"failures: {failed}, {elapsed:.0f}s")
     assert ok
 
 

@@ -85,6 +85,10 @@ def test_params_validation():
         ProtocolParams(2)
     with pytest.raises(ValueError):
         ProtocolParams(3, c=0)
+    # 0 derives k from n and c; a k below 2 has no label universe
+    for k_override in (-3, 1):
+        with pytest.raises(ValueError, match="k_override must be 0"):
+            ProtocolParams(3, k_override=k_override)
 
 
 def test_clean_write_installs_on_all_replicas():
@@ -187,7 +191,7 @@ def test_read_aborts_on_incomparable_views():
     procs[2].ml, procs[2].value = b, "vb"
     procs[1].start_read()
     # force the quorum to be exactly the two divided replicas
-    resp = Message(QR_RESP, procs[1].phase.nonce, 2, 1, procs[2].snapshot())
+    resp = Message(QR_RESP, procs[1].nonce, 2, 1, procs[2].snapshot())
     finished.deliver(procs[1], resp)
     assert procs[1].idle
     assert finished.result(1) == "abort"
@@ -215,7 +219,7 @@ def test_next_send_round_robins_over_peers_yet_to_respond():
     # only the reader itself has answered: the requests cycle over all
     # n - 1 peers in pid order
     assert [reader.next_send().dest for _ in range(8)] == [0, 1, 3, 4, 0, 1, 3, 4]
-    nonce = reader.phase.nonce
+    nonce = reader.nonce
     assert reader.on_message(Message(QR_RESP, nonce, 4, 2, replica.snapshot())) is None
     # the reader and 4 have responded: the requests cycle over 0, 1 and 3,
     # from the ninth request on (8 % 3 == 2)
@@ -231,7 +235,7 @@ def test_stale_nonce_response_discarded():
     params, procs, _ = make_system()
     writer = procs[0]
     writer.start_write("v#1")
-    bogus = Message(QR_RESP, (1, 999), 1, 0, procs[1].snapshot())
+    bogus = Message(QR_RESP, 999, 1, 0, procs[1].snapshot())
     assert writer.on_message(bogus) is None
     assert len(writer.phase.responses) == 1  # only the self response
 
@@ -241,10 +245,10 @@ def test_writer_as_member_banks_foreign_epoch():
     writer = procs[0]
     foreign = Timestamp(make_label(2, {1, 3, 4, 5, 6, 7, 8, 9}), 0)
     before = writer.ml
-    reply = writer.on_message(Message(QW_REQ, (1, 1), 1, 0, (foreign, "x")))
+    reply = writer.on_message(Message(QW_REQ, 1, 1, 0, (foreign, "x")))
     assert writer.ml == before  # the writer never adopts
     assert foreign.epoch in writer.epochs
-    assert reply == Message(QW_ACK, (1, 1), 0, 1)
+    assert reply == Message(QW_ACK, 1, 0, 1)
 
 
 @pytest.mark.parametrize("protocol", ["bounded", "oracle"])
@@ -255,7 +259,7 @@ def test_on_message_answers_requests_only(protocol):
     else:
         writer, reader = OracleWriter(params), OracleReader(2, params)
     writer.start_write("v#1")
-    nonce = writer.phase.nonce
+    nonce = writer.nonce
     # a request gets exactly one reply, to its sender, under its nonce
     reply = reader.on_message(Message(QR_REQ, nonce, 0, 2))
     assert type(reply) is Message
@@ -267,7 +271,7 @@ def test_on_message_answers_requests_only(protocol):
     # a response or an ack gets none, also when it ends the phase
     assert writer.on_message(Message(QR_RESP, nonce, 2, 0, reader.snapshot())) is None
     assert writer.phase.kind == QW_REQ
-    stale, nonce = nonce, writer.phase.nonce
+    stale, nonce = nonce, writer.nonce
     assert writer.on_message(Message(QW_ACK, nonce, 2, 0)) is None
     assert writer.idle
     # and so does one under a stale nonce, or with no phase in flight
@@ -275,7 +279,7 @@ def test_on_message_answers_requests_only(protocol):
     assert writer.on_message(Message(QR_RESP, stale, 1, 0, reader.snapshot())) is None
     assert writer.on_message(Message(QW_ACK, nonce, 1, 0)) is None
     assert len(writer.phase.responses) == 1
-    assert reader.on_message(Message(QW_ACK, (2, 1), 1, 2)) is None
+    assert reader.on_message(Message(QW_ACK, 1, 1, 2)) is None
 
 
 def test_write_reports_its_two_phases():

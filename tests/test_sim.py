@@ -9,7 +9,7 @@ import pytest
 
 from stabreg import adversary
 from stabreg.checker import find_stabilization, parse_trace
-from stabreg.protocol import INITIAL_VALUE, QW_REQ, Message, QuorumProcessor
+from stabreg.protocol import INITIAL_VALUE, QR_RESP, QW_ACK, QW_REQ, Message, QuorumProcessor
 from stabreg.timestamps import Timestamp
 from stabreg.sim import (
     Potential,
@@ -358,6 +358,36 @@ def test_corruption_modes_overwrite_the_clean_start():
         assert all(len(box) == 2 for box in sim.links.values())
     oracle = Simulation(small_config(protocol="oracle", corruption="random"))
     assert any(p.max_seq for p in oracle.procs)
+
+
+def test_no_response_under_nonce_0_enters_a_phase(monkeypatch):
+    # forgeries carry nonce 0 and a processor's first phase has nonce 1:
+    # neither a forged QR_RESP nor the QW_ACK to a forged QW_REQ may count
+    # for a phase in flight
+    delivered = {QR_RESP: 0, QW_ACK: 0}
+    entered = []
+    on_message = QuorumProcessor.on_message
+
+    def recording(proc, msg):
+        phase = proc.phase
+        if msg.nonce != 0 or msg.kind not in delivered or phase is None:
+            return on_message(proc, msg)
+        delivered[msg.kind] += 1
+        before = dict(phase.responses)
+        reply = on_message(proc, msg)
+        if proc.phase is not phase or phase.responses != before:
+            entered.append((proc.pid, msg))
+        return reply
+
+    monkeypatch.setattr(QuorumProcessor, "on_message", recording)
+    for mode in ("random", "hidden-epoch"):
+        for n in (3, 5):
+            for c in (1, 2):
+                for seed in range(3):
+                    run_scenario(small_config(n=n, c=c, r=8, writes=5, steps=20_000,
+                                              corruption=mode, seed=seed))
+    assert not entered, entered[:3]
+    assert all(delivered.values()), delivered
 
 
 def test_oracle_clean_run():
