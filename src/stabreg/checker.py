@@ -346,7 +346,11 @@ def find_stabilization(trace: Trace, metrics: Optional[dict] = None) -> Verdict:
         "aborted_reads": sum(
             1 for op in trace.operations if op.kind == "read" and op.aborted
         ),
-        "initial_value": INITIAL_VALUE,
+        # rule (c): the suffix's reads of unwritten values (widx -1) agree
+        "initial_value": INITIAL_VALUE if atomic_from is None else next(
+            (op.value for op in completed[atomic_from:] if op.widx < 0 and not op.aborted),
+            INITIAL_VALUE,
+        ),
     }
     if metrics:
         stats["epoch_changes"] = metrics.get("epoch_changes")

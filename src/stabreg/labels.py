@@ -108,13 +108,13 @@ def next_label(labels: Iterable[Label], params: LabelParams) -> Label:
                        _free_elements(labels, params.universe_size))
 
 
-def next_label_covered(count: int, stings: Collection[int], covered: bytearray,
+def next_label_covered(count: int, stings: Collection[int], counts: Sequence[int],
                        params: LabelParams) -> Label:
     """``next_label(labels, params)`` for ``count`` labels whose shape the
     caller has checked, given their distinct ``stings`` (a set, or a dict
-    keyed by them) and ``covered``, where ``covered[x]`` is nonzero exactly
-    when some label holds antisting x (elements past its end: none does)."""
-    return _next_label(count, stings, params, _uncovered(covered))
+    keyed by them) and ``counts``, a list or bytearray whose entry x is
+    nonzero exactly when some label holds antisting x (past its end: none)."""
+    return _next_label(count, stings, params, _uncovered(counts))
 
 
 def _next_label(count: int, stings: Collection[int], params: LabelParams,
@@ -160,13 +160,15 @@ def _free_elements(labels: Sequence[Label], K: int) -> Iterator[int]:
         start, bound = bound, 2 * bound
 
 
-def _uncovered(covered: bytearray) -> Iterator[int]:
-    """Elements >= 1 whose ``covered`` byte is zero or missing, ascending."""
-    x = covered.find(0, 1)
-    while x >= 0:
-        yield x
-        x = covered.find(0, x + 1)
-    yield from itertools.count(max(len(covered), 1))
+def _uncovered(counts: Sequence[int]) -> Iterator[int]:
+    """Elements >= 1 whose entry in ``counts`` is zero or missing, ascending."""
+    x = 0
+    try:
+        while True:
+            x = counts.index(0, x + 1)
+            yield x
+    except ValueError:  # no zero past x: every element past the end is free
+        yield from itertools.count(max(len(counts), 1))
 
 
 def format_label(label: Label) -> str:

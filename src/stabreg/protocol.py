@@ -78,9 +78,11 @@ class ProtocolParams:
 
     def __post_init__(self):
         if self.n < 3:
-            raise ValueError("need n >= 3 processors")
-        if self.c < 1 or self.r < 1:
-            raise ValueError("need c >= 1 and r >= 1")
+            raise ValueError("n must be >= 3")
+        if self.c < 1:
+            raise ValueError("c must be >= 1")
+        if self.r < 1:
+            raise ValueError("r must be >= 1")
         if self.k_override < 0 or self.k_override == 1:
             raise ValueError("k_override must be 0 (derived from n and c) or >= 2")
 

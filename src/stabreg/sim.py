@@ -44,16 +44,12 @@ class ScenarioConfig:
     read_backoff: int = 2
 
     def validate(self) -> None:
-        if self.n < 3:
-            raise ScenarioError("n must be >= 3")
-        if self.c < 1:
-            raise ScenarioError("c must be >= 1")
-        if self.r < 1:
-            raise ScenarioError("r must be >= 1")
+        try:  # the protocol owns the rules for n, c, r and k_override
+            ProtocolParams(self.n, self.c, self.r, self.k_override)
+        except ValueError as exc:
+            raise ScenarioError(str(exc)) from None
         if self.steps < 1 or self.writes < 0:
             raise ScenarioError("steps must be >= 1 and writes >= 0")
-        if self.k_override < 0 or self.k_override == 1:
-            raise ScenarioError("k_override must be 0 (derived from n and c) or >= 2")
         if self.read_backoff < 0:
             raise ScenarioError("read_backoff must be >= 0")
         if self.read_retry_cap < 1:

@@ -63,10 +63,10 @@ class EpochsQueue:
     (a bad one raises LabelError and leaves the queue unchanged), and the
     capacity is at most ``params.k``, so a full queue can still be searched.
     For ``next_label`` the queue keeps the union of its antistings:
-    ``covered[x]`` is 1 while some label holds x, and ``_counts[x]`` counts
-    them, up to the largest antisting ever held; ``_stings`` maps each sting
-    a label holds to the number of labels holding it.  All three change
-    only when a label enters or leaves.
+    ``_counts[x]`` is the number of labels holding x, up to the largest
+    antisting ever held, and ``_stings`` maps each sting a label holds to
+    the number of labels holding it.  Both change only when a label enters
+    or leaves.
     """
 
     def __init__(self, capacity: int, params: LabelParams):
@@ -79,7 +79,6 @@ class EpochsQueue:
         # Insertion-ordered dict used as a set: last key = newest.
         self._entries: dict[Label, None] = {}
         self._counts: list[int] = []
-        self.covered = bytearray()
         self._stings: dict[int, int] = {}
 
     def enqueue(self, label: Label) -> None:
@@ -89,14 +88,12 @@ class EpochsQueue:
             return
         check_shape(label, self.params)
         anti = label.antistings
-        counts, covered, stings = self._counts, self.covered, self._stings
-        grow = anti[-1] + 1 - len(covered)
+        counts, stings = self._counts, self._stings
+        grow = anti[-1] + 1 - len(counts)
         if grow > 0:
             counts += [0] * grow
-            covered += bytes(grow)
         for a in anti:
             counts[a] += 1
-            covered[a] = 1
         sting = label.sting
         stings[sting] = stings.get(sting, 0) + 1
         if len(entries) >= self.capacity:
@@ -104,8 +101,6 @@ class EpochsQueue:
             del entries[oldest]
             for a in oldest.antistings:
                 counts[a] -= 1
-                if not counts[a]:
-                    covered[a] = 0
             left = stings.pop(oldest.sting) - 1
             if left:
                 stings[oldest.sting] = left
@@ -113,7 +108,7 @@ class EpochsQueue:
 
     def next_label(self) -> Label:
         """``labels.next_label(self.entries, self.params)``, read off the union."""
-        return next_label_covered(len(self._entries), self._stings, self.covered, self.params)
+        return next_label_covered(len(self._entries), self._stings, self._counts, self.params)
 
     @property
     def entries(self) -> list[Label]:

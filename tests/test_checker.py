@@ -278,6 +278,34 @@ def test_reads_of_two_unwritten_values_in_a_real_run():
     assert {v.rule for v in verdict.violations} == {"initial-value"}
     assert ("p3r1", "p3r2") in [v.op_ids for v in verdict.violations]
     assert verdict.atomic_from == 1
+    assert verdict.stats["initial_value"] == "corrupt#0"
+
+
+def test_initial_value_is_what_the_suffix_reads_of_unwritten_values_return():
+    def initial(reads, late=()):
+        # reads before the write completes, then one of it, then ``late``
+        early = [Op("read", v, 2 * i + 1, 2 * i + 2) for i, v in enumerate(reads)]
+        trace = parsed({0: [Op("write", "v#1", 20, 21)],
+                        1: early + [Op("read", "v#1", 22, 23)],
+                        2: [Op("read", v, 24, 25) for v in late]})
+        verdict = find_stabilization(trace)
+        return verdict.atomic_from, verdict.stats["initial_value"]
+
+    # consistent reads of one unwritten value: it is the initial value
+    assert initial(["corrupt#0", "corrupt#0"]) == (0, "corrupt#0")
+    # a conflict leaves the suffix, whose reads agree on the later value
+    assert initial(["corrupt#0", "corrupt#1", "corrupt#1"]) == (1, "corrupt#1")
+    assert initial(["corrupt#1", "corrupt#0", "corrupt#1"]) == (2, "corrupt#1")
+    # no read of an unwritten value: the register's own initial value
+    assert initial([]) == (0, INITIAL_VALUE)
+    # a read of an unwritten value after a write completed: never atomic
+    assert initial(["corrupt#0"], late=["corrupt#0"]) == (None, INITIAL_VALUE)
+    # an aborted read returns nothing
+    lines = [event(1, 1, "read_invoke", "r1"),
+             event(2, 1, "read_response", "r1", value="__abort__", abort=True),
+             event(3, 1, "read_invoke", "r2"),
+             event(4, 1, "read_response", "r2", value="corrupt#0")]
+    assert find_stabilization(parse_trace(lines)).stats["initial_value"] == "corrupt#0"
 
 
 def test_aborted_reads_are_counted_but_not_checked():

@@ -196,10 +196,15 @@ def test_next_label_covered_matches_set_scan(case):
     params, labels = case
     expected = set_scan_next_label(labels, params)
     stings = {lab.sting for lab in labels}
-    assert next_label_covered(len(labels), stings, covered_bytes(labels), params) == expected
-    # a union array longer than the antistings it holds changes nothing
-    padded = covered_bytes(labels) + bytes(params.universe_size)
-    assert next_label_covered(len(labels), stings, padded, params) == expected
+    # flags or counts, and longer than the antistings it holds or not
+    covered = covered_bytes(labels)
+    counts = [0] * (params.universe_size + 1)
+    for lab in labels:
+        for a in lab.antistings:
+            counts[a] += 1
+    padded = covered + bytes(params.universe_size)
+    for union in (covered, padded, counts, counts[:len(covered)]):
+        assert next_label_covered(len(labels), stings, union, params) == expected
 
 
 def test_next_label_finds_a_free_element_past_many_windows():

@@ -202,8 +202,8 @@ def test_queue_keeps_the_antisting_union(case):
     q = EpochsQueue(capacity, params)
     for op in ops:
         q.enqueue(q.next_label() if op is None else op)
-        union = set().union(*(lab.antistings for lab in q.entries))
-        assert {x for x, flag in enumerate(q.covered) if flag} == union
+        held = Counter(a for lab in q.entries for a in lab.antistings)
+        assert {x: n for x, n in enumerate(q._counts) if n} == held
         assert q.next_label() == set_scan_next_label(q.entries, params)
 
 
@@ -231,10 +231,11 @@ def test_queue_counts_its_stings_through_moves_and_evictions():
 def test_queue_rejects_misshapen_label_unchanged(label):
     q = EpochsQueue(1, P2)
     q.enqueue(L_LOW)
+    counts, stings = list(q._counts), dict(q._stings)
     with pytest.raises(LabelError):
         q.enqueue(label)
     assert q.entries == [L_LOW]
-    assert {x for x, flag in enumerate(q.covered) if flag} == {4, 5}
+    assert (q._counts, q._stings) == (counts, stings)
     assert q.next_label() == set_scan_next_label([L_LOW], P2)
 
 
