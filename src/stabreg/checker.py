@@ -296,11 +296,10 @@ def _violations(trace: Trace) -> Iterator[tuple[Violation, int]]:
                 other = read
 
 
-# ``find_stabilization`` is the one check.  Nothing in the package calls the
-# three filters below.  The tests' suffix scan, the checker tests and
-# criterion 9 call them, and ``perfbench/spans.py`` wraps them by name; the
-# benchmark change moves those callers onto
-# ``find_stabilization(...).violations`` and deletes them.
+# ``find_stabilization`` is the one check.  The three filters below are
+# slices of its violation stream, and their only caller is
+# ``perfbench/spans.py``, which wraps them by name; one test pins each to
+# its slice.  The benchmark change deletes them, their spans and that test.
 
 
 def check_regularity(trace: Trace) -> list[Violation]:

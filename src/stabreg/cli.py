@@ -102,7 +102,7 @@ def cmd_game(args) -> int:
     if args.m < 1 or args.seeds < 1:
         raise InputError("--m and --seeds must be >= 1")
     params = LabelParams(2 * args.m)
-    max_round = 0
+    max_round = 0  # rounds count from 1, so 0 means no game was won
     failures = 0
     for seed in range(args.seed_start, args.seed_start + args.seeds):
         hider = make_hider(args.strategy, args.m, random.Random(seed ^ 0x5EED), params)
@@ -118,7 +118,7 @@ def cmd_game(args) -> int:
             failures += 1
         if result.won:
             max_round = max(max_round, result.winning_round)
-    print(f"games: {args.seeds}  max winning round: {max_round}  "
+    print(f"games: {args.seeds}  max winning round: {max_round or 'none'}  "
           f"bound m+1: {args.m + 1}  failures: {failures}")
     return 1 if failures else 0
 

@@ -156,7 +156,7 @@ class QuorumProcessor:
 
     def start_read(self) -> None:
         """Open an operation's quorum read phase; a write opens it too."""
-        assert self.idle, "one operation at a time per processor"
+        assert self.phase is None, "one operation at a time per processor"
         self._begin_phase(QR_REQ)
         self.phase.responses[self.pid] = self.snapshot()
 
@@ -199,10 +199,6 @@ class QuorumProcessor:
         dest = pending[ph.rr % len(pending)]
         ph.rr += 1
         return _new(Message, (ph.kind, self.nonce, self.pid, dest, ph.payload))
-
-    @property
-    def idle(self) -> bool:
-        return self.phase is None
 
     # -- dispatch ------------------------------------------------------
 

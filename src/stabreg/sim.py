@@ -414,7 +414,7 @@ class Simulation:
                 self.step_count = step_count
                 for check in checks:
                     check(pid, msg)
-            if winding and all(procs[i].idle for i in live):
+            if winding and all(procs[i].phase is None for i in live):
                 break
         self.step_count = step_count
         stats["message_sends"], stats["dropped_messages"] = sends, drops

@@ -24,8 +24,6 @@ class Timestamp:
 
 MaybeTimestamp = Optional[Timestamp]
 
-BOTTOM: MaybeTimestamp = None
-
 _MISSING = object()
 
 

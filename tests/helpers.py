@@ -14,7 +14,7 @@ import random
 from dataclasses import dataclass
 from typing import Optional
 
-from stabreg.checker import Trace, check_suffix
+from stabreg.checker import Trace, find_stabilization
 from stabreg.labels import Label, LabelParams, make_label
 from stabreg.protocol import INITIAL_VALUE
 
@@ -159,9 +159,9 @@ def suffix_scan_atomic_from(trace: Trace):
     """
     completed = trace.completed
     if len(completed) < 2:
-        return None if check_suffix(trace) else 0
+        return None if find_stabilization(trace).violations else 0
     for start in range(len(completed) - 1):
-        if not check_suffix(suffix(trace, start)):
+        if not find_stabilization(suffix(trace, start)).violations:
             return start
     return None
 

@@ -14,13 +14,7 @@ import time
 
 import pytest
 
-from stabreg.checker import (
-    check_no_inversion,
-    check_regularity,
-    check_suffix,
-    find_stabilization,
-    parse_trace,
-)
+from stabreg.checker import find_stabilization, parse_trace
 from stabreg.game import make_hider, play, STRATEGIES
 from stabreg.labels import (
     LabelParams,
@@ -33,6 +27,7 @@ from stabreg.labels import (
 from stabreg.sim import ScenarioConfig, Simulation, run_scenario
 
 from helpers import Op, all_ops, linearizable_swmr, make_trace_lines, random_ops
+from mutants import MUTANTS
 
 
 def report(num: int, ok: bool, detail: str) -> None:
@@ -133,10 +128,10 @@ def test_criterion_3_game_lemma():
 # -- criteria 4 and 8 share the clean-start runs -----------------------------
 
 
-def clean_start_grid():
+def clean_start_grid(seeds=range(50)):
     """Criterion 4's runs, as (seed, metrics, verdict)."""
     runs = []
-    for seed in range(50):
+    for seed in seeds:
         config = ScenarioConfig(
             n=5, seed=seed, steps=2_000_000, writes=1000, c=3, r=64
         )
@@ -169,6 +164,13 @@ def test_criterion_4_clean_start_atomic(clean_start_runs):
     report(4, ok, f"50 seeds, n=5 c=3 r=64, 1000 writes each, "
                   f"bad seeds: {bad if bad else 'none'}")
     assert ok
+
+
+def test_witness_kills_adopt_unconditional(monkeypatch):
+    # the mutant's witness: seed 0 passes as written and fails under it
+    assert criterion_4(clean_start_grid([0])) == []
+    MUTANTS["adopt-unconditional"](monkeypatch)
+    assert criterion_4(clean_start_grid([0])) == [0]
 
 
 def criterion_5():
@@ -214,6 +216,31 @@ def test_criterion_5_minority_crashes():
 # -- criterion 6: stabilization from corrupted states ------------------------
 
 
+def stabilization_run(config, bound):
+    """Why one corrupted-start run fails criterion 6, with its verdict and
+    the fraction of the suffix's reads that abort.
+
+    The reason is ``"never"`` if the run does not stabilize, ``"bound"`` if
+    more than ``bound`` writes precede stabilization, ``"progress"`` if after
+    it a reader completes no read or half the reads abort, and None if the
+    run passes.  The fraction is 0 unless the progress check ran.
+    """
+    lines, metrics = run_scenario(config)
+    trace = parse_trace(lines)
+    verdict = find_stabilization(trace, metrics)
+    if verdict.atomic_from is None:
+        return "never", verdict, 0.0
+    if verdict.stats["writes_before_stabilization"] > bound:
+        return "bound", verdict, 0.0
+    # read progress: after stabilization every reader completes a read, and
+    # most reads do not abort
+    reads = [op for op in trace.completed[verdict.atomic_from:] if op.kind == "read"]
+    aborted = sum(op.aborted for op in reads)
+    served = {op.proc for op in reads if not op.aborted}
+    starved = served != set(range(1, config.n)) or 2 * aborted >= len(reads)
+    return "progress" if starved else None, verdict, aborted / max(len(reads), 1)
+
+
 def criterion_6():
     """The corrupted-start runs that never stabilize, exceed the bound or
     starve a reader after stabilizing, as (n, c, r, mode, seed), and the
@@ -234,25 +261,14 @@ def criterion_6():
                             n=n, seed=seed, steps=600_000, writes=40,
                             c=c, r=r, corruption=mode,
                         )
-                        lines, metrics = run_scenario(config)
-                        trace = parse_trace(lines)
-                        verdict = find_stabilization(trace, metrics)
-                        wbs = verdict.stats["writes_before_stabilization"]
-                        if verdict.atomic_from is None or wbs > bound:
-                            failures.append((n, c, r, mode, seed))
-                            continue
-                        # read progress: after stabilization every reader
-                        # completes a read, and most reads do not abort
-                        reads = [op for op in trace.completed[verdict.atomic_from:]
-                                 if op.kind == "read"]
-                        aborted = sum(op.aborted for op in reads)
-                        worst_abort = max(worst_abort, aborted / max(len(reads), 1))
-                        served = {op.proc for op in reads if not op.aborted}
-                        if served != set(range(1, n)) or 2 * aborted >= len(reads):
+                        why, verdict, abort_fraction = stabilization_run(config, bound)
+                        worst_abort = max(worst_abort, abort_fraction)
+                        if why is not None:
                             failures.append((n, c, r, mode, seed))
                             continue
                         non_atomic += verdict.atomic_from > 0
-                        worst_ratio = max(worst_ratio, wbs / bound)
+                        worst_ratio = max(worst_ratio,
+                                          verdict.stats["writes_before_stabilization"] / bound)
     return failures, {"cells": cells, "seeds": seeds, "non_atomic": non_atomic,
                       "worst_ratio": worst_ratio, "worst_abort": worst_abort}
 
@@ -269,6 +285,23 @@ def test_criterion_6_stabilization():
                   f"largest suffix abort fraction {figures['worst_abort']:.3f}, "
                   f"failures: {failed}, {elapsed:.0f}s")
     assert ok
+
+
+def test_small_queue_exceeds_the_stabilization_bound():
+    # negative control: with k_override=2 the writer's epochs queue holds
+    # two labels, where the derived k = 2m = 60 covers the m = 30 epochs a
+    # corrupted start can hide at n=3, c=1, so every run exceeds the bound
+    n, c, r = 3, 1, 1
+    m = 2 * n + 4 * c * n * (n - 1)
+    bound = (m + 2) * (r + 1)
+    whys = [
+        stabilization_run(ScenarioConfig(
+            n=n, seed=seed, steps=600_000, writes=300, c=c, r=r, loss_prob=0.05,
+            corruption="near-wrap", k_override=2,
+        ), bound)[0]
+        for seed in range(10)
+    ]
+    assert bound == 64 and whys == ["bound"] * 10
 
 
 # -- criterion 7: oracle potential function ----------------------------------
@@ -345,7 +378,7 @@ def test_criterion_9_checker_equivalence():
             linearizable += 1
             continue
         trace = parse_trace(make_trace_lines(ops_by_proc))
-        checker_ok = not check_suffix(trace)
+        checker_ok = not find_stabilization(trace).violations
         brute_ok = linearizable_swmr(ops, initial=None)
         if checker_ok != brute_ok:
             disagreements.append(seed)
@@ -365,10 +398,8 @@ def test_criterion_9_checker_equivalence():
         1: [Op("read", "v_init", 3, 4)],
     }))
     fixtures_ok = (
-        check_regularity(inversion) == []
-        and [v.rule for v in check_no_inversion(inversion)] == ["new-old-inversion"]
-        and [v.rule for v in check_regularity(regularity)] == ["regularity"]
-        and check_no_inversion(regularity) == []
+        [v.rule for v in find_stabilization(inversion).violations] == ["new-old-inversion"]
+        and [v.rule for v in find_stabilization(regularity).violations] == ["regularity"]
     )
     elapsed = time.perf_counter() - started
     ok = not disagreements and fixtures_ok and violating > 0 and linearizable > 0

@@ -6,9 +6,6 @@ from hypothesis import given, settings, strategies as st
 
 from stabreg.checker import (
     TraceError,
-    check_no_inversion,
-    check_regularity,
-    check_suffix,
     find_stabilization,
     parse_trace,
 )
@@ -167,8 +164,9 @@ def test_clean_history_passes():
         0: [Op("write", "v#1", 1, 2), Op("write", "v#2", 5, 6)],
         1: [Op("read", "v#1", 3, 4), Op("read", "v#2", 7, 8)],
     })
-    assert check_suffix(trace) == []
-    assert find_stabilization(trace).atomic_from == 0
+    verdict = find_stabilization(trace)
+    assert verdict.violations == []
+    assert verdict.atomic_from == 0
 
 
 def test_stale_read_is_a_regularity_violation():
@@ -177,9 +175,9 @@ def test_stale_read_is_a_regularity_violation():
         0: [Op("write", "v#1", 1, 2)],
         1: [Op("read", "v_init", 3, 4)],
     })
-    violations = check_regularity(trace)
-    assert [v.rule for v in violations] == ["regularity"]
-    assert find_stabilization(trace).atomic_from is None
+    verdict = find_stabilization(trace)
+    assert [v.rule for v in verdict.violations] == ["regularity"]
+    assert verdict.atomic_from is None
 
 
 def test_concurrent_read_may_return_either_value():
@@ -187,7 +185,7 @@ def test_concurrent_read_may_return_either_value():
         0: [Op("write", "v#1", 1, 4)],
         1: [Op("read", "v_init", 2, 3)],
     })
-    assert check_suffix(trace) == []
+    assert find_stabilization(trace).violations == []
 
 
 def test_read_from_the_future_is_flagged():
@@ -195,8 +193,7 @@ def test_read_from_the_future_is_flagged():
         1: [Op("read", "v#1", 1, 2)],
         0: [Op("write", "v#1", 3, 4)],
     })
-    violations = check_regularity(trace)
-    assert violations and violations[0].rule == "regularity"
+    assert [v.rule for v in find_stabilization(trace).violations] == ["regularity"]
 
 
 def test_new_old_inversion_between_reads():
@@ -208,9 +205,7 @@ def test_new_old_inversion_between_reads():
         1: [Op("read", "v#2", 22, 25)],
         2: [Op("read", "v#1", 26, 30)],
     })
-    assert check_regularity(trace) == []
-    violations = check_no_inversion(trace)
-    assert [v.rule for v in violations] == ["new-old-inversion"]
+    assert [v.rule for v in find_stabilization(trace).violations] == ["new-old-inversion"]
 
 
 def test_violations_are_listed_read_by_read_in_invocation_order():
@@ -226,7 +221,6 @@ def test_violations_are_listed_read_by_read_in_invocation_order():
         ("regularity", ("p2op5", "p0op2")),
         ("new-old-inversion", ("p2op4", "p2op5")),
     ]
-    assert [(v.rule, v.op_ids) for v in check_suffix(trace)] == expected
     verdict = find_stabilization(trace)
     assert [(v.rule, v.op_ids) for v in verdict.violations] == expected
 
@@ -241,7 +235,6 @@ def test_reads_of_two_unwritten_values_conflict_even_when_they_overlap():
     verdict = find_stabilization(trace)
     assert [(v.rule, v.op_ids) for v in verdict.violations] == [
         ("initial-value", ("p1op2", "p2op4"))]
-    assert check_regularity(trace) == check_no_inversion(trace) == []
     # the earlier-completed read (rank 0) leaves the suffix first
     assert verdict.atomic_from == 1 == suffix_scan_atomic_from(trace)
     assert not linearizable_swmr(all_ops(ops_by_proc), initial=None)
@@ -314,9 +307,8 @@ def test_aborted_reads_are_counted_but_not_checked():
         json.dumps({"step": 4, "proc": 1, "event": "read_response",
                     "op_id": "r1", "value": "__abort__", "abort": True}),
     ]
-    trace = parse_trace(lines)
-    assert check_suffix(trace) == []
-    verdict = find_stabilization(trace)
+    verdict = find_stabilization(parse_trace(lines))
+    assert verdict.violations == []
     assert verdict.stats["aborted_reads"] == 1
     assert verdict.atomic_from == 0
 
@@ -361,7 +353,7 @@ def test_agrees_with_brute_force_on_random_histories():
         if not ops:
             continue
         trace = parsed(ops_by_proc)
-        checker_ok = not check_suffix(trace)
+        checker_ok = not find_stabilization(trace).violations
         brute_ok = linearizable_swmr(ops, initial=None)
         if checker_ok != brute_ok:
             disagreements.append(seed)
@@ -369,6 +361,23 @@ def test_agrees_with_brute_force_on_random_histories():
         seen_good += brute_ok
     assert not disagreements
     assert seen_good > 100 and seen_bad > 100  # the sample exercises both
+
+
+def test_filters_are_slices_of_the_violation_stream():
+    # the three filters are kept only for the benchmark's span table; on
+    # criterion 9's random traces each must return its slice of the verdict
+    from stabreg.checker import check_no_inversion, check_regularity, check_suffix
+    seen = set()
+    for seed in range(10_000):
+        trace = parsed(random_ops(seed))
+        violations = find_stabilization(trace).violations
+        assert check_suffix(trace) == violations, seed
+        assert check_regularity(trace) == [
+            v for v in violations if v.rule == "regularity"], seed
+        assert check_no_inversion(trace) == [
+            v for v in violations if v.rule == "new-old-inversion"], seed
+        seen.update(v.rule for v in violations)
+    assert {"regularity", "new-old-inversion", "initial-value"} <= seen
 
 
 def test_degenerate_traces():

@@ -344,7 +344,8 @@ def test_game_negative_control(capsys):
     rc = main(["game", "--m", "6", "--seeds", "30",
                "--strategy", "max-incomparable", "--queue-capacity", "6"])
     assert rc == 1
-    assert "failures: 0" not in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "failures: 30" in out and "max winning round: none" in out
 
 
 def test_game_transcript_lines(capsys):

@@ -1,10 +1,10 @@
 """Golden trace hashes: each (scenario, seed) run must stay byte-identical.
 
-Every case hashes the trace lines and the metrics JSON of one
-``run_scenario`` call.  A change that alters the RNG call order, an event,
-or a metric breaks a hash; refresh them only when that change is meant.
-A second hash per case covers the labels at the end of the run, which the
-trace does not show: the writer's ``ml`` and epochs queue, each reader's
+Every case hashes the trace lines and the metrics JSON of one run.  A
+change that alters the RNG call order, an event, or a metric breaks a
+hash; refresh them only when that change is meant.  A second hash per
+case covers the labels at the end of the same run, which the trace does
+not show: the writer's ``ml`` and epochs queue, each reader's
 ``ml`` and ``cl`` (the oracle protocol's sequence numbers instead).  A
 change to how labels are built can keep every trace and still break it.
 
@@ -25,11 +25,12 @@ under every corruption mode each accepts, n = 3, 5 and 7, lossless and
 lossy links, with and without a crash, a third of them audited.
 """
 
+import functools
 import hashlib
 import json
 
 from stabreg.labels import format_label
-from stabreg.sim import PROTOCOLS, ScenarioConfig, Simulation, run_scenario
+from stabreg.sim import PROTOCOLS, ScenarioConfig, Simulation
 from stabreg.timestamps import format_timestamp
 
 # (name, config keywords, audit, sha256 of the lines and the metrics,
@@ -114,12 +115,6 @@ def grid_digest() -> str:
     return h.hexdigest()
 
 
-def run_digest(config_kwargs: dict, audit: bool) -> str:
-    lines, metrics = run_scenario(ScenarioConfig(**config_kwargs), audit=audit)
-    blob = "\n".join(lines) + "\n" + json.dumps(metrics, sort_keys=True)
-    return hashlib.sha256(blob.encode()).hexdigest()
-
-
 def final_labels(sim: Simulation) -> list[str]:
     """Every processor's timestamps, and the writer's epochs newest first."""
     lines = []
@@ -136,21 +131,28 @@ def final_labels(sim: Simulation) -> list[str]:
     return lines
 
 
-def label_digest(config_kwargs: dict, audit: bool) -> str:
-    sim = Simulation(ScenarioConfig(**config_kwargs), audit=audit)
-    sim.run()
-    blob = "\n".join(final_labels(sim))
-    return hashlib.sha256(blob.encode()).hexdigest()
+@functools.cache
+def case_digests() -> list[tuple[str, str]]:
+    """Each case's two hashes, of the lines and the metrics and of the
+    final labels, from one run; both tests read the same runs."""
+    digests = []
+    for _name, config_kwargs, audit, _digest, _labels in CASES:
+        sim = Simulation(ScenarioConfig(**config_kwargs), audit=audit)
+        metrics = sim.run()
+        blob = "\n".join(sim.lines) + "\n" + json.dumps(metrics, sort_keys=True)
+        digests.append((hashlib.sha256(blob.encode()).hexdigest(),
+                        hashlib.sha256("\n".join(final_labels(sim)).encode()).hexdigest()))
+    return digests
 
 
 def test_golden_traces():
-    for name, config_kwargs, audit, digest, _labels in CASES:
-        assert run_digest(config_kwargs, audit) == digest, name
+    for (name, _kwargs, _audit, digest, _labels), got in zip(CASES, case_digests()):
+        assert got[0] == digest, name
 
 
 def test_golden_labels():
-    for name, config_kwargs, audit, _digest, labels in CASES:
-        assert label_digest(config_kwargs, audit) == labels, name
+    for (name, _kwargs, _audit, _digest, labels), got in zip(CASES, case_digests()):
+        assert got[1] == labels, name
 
 
 def test_golden_grid():
@@ -158,8 +160,7 @@ def test_golden_grid():
 
 
 if __name__ == "__main__":
-    for name, config_kwargs, audit, digest, labels in CASES:
-        got = run_digest(config_kwargs, audit), label_digest(config_kwargs, audit)
+    for (name, _kwargs, _audit, digest, labels), got in zip(CASES, case_digests()):
         ok = got == (digest, labels)
         print(f"{'ok  ' if ok else 'FAIL'} {name} {got[0]} labels {got[1]}")
         assert ok, name

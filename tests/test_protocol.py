@@ -58,7 +58,7 @@ def pump(procs, finished, max_iters=10_000):
                 msg = proc.next_send()
                 guard += 1
                 assert guard < 1000, "phase failed to make progress"
-        if all(p.idle for p in procs):
+        if all(p.phase is None for p in procs):
             return
     raise AssertionError("system did not quiesce")
 
@@ -96,7 +96,7 @@ def test_clean_write_installs_on_all_replicas():
     writer = procs[0]
     writer.start_write("v#1")
     pump(procs, finished)
-    assert writer.idle and finished.result(WRITER_ID) == "v#1"
+    assert writer.phase is None and finished.result(WRITER_ID) == "v#1"
     assert writer.ml.seq == 1
     # the install is guaranteed on a majority, not necessarily everyone
     holders = [p for p in procs if p.value == "v#1"]
@@ -193,7 +193,7 @@ def test_read_aborts_on_incomparable_views():
     # force the quorum to be exactly the two divided replicas
     resp = Message(QR_RESP, procs[1].nonce, 2, 1, procs[2].snapshot())
     finished.deliver(procs[1], resp)
-    assert procs[1].idle
+    assert procs[1].phase is None
     assert finished.result(1) == "abort"
 
 
@@ -273,7 +273,7 @@ def test_on_message_answers_requests_only(protocol):
     assert writer.phase.kind == QW_REQ
     stale, nonce = nonce, writer.nonce
     assert writer.on_message(Message(QW_ACK, nonce, 2, 0)) is None
-    assert writer.idle
+    assert writer.phase is None
     # and so does one under a stale nonce, or with no phase in flight
     writer.start_write("v#2")
     assert writer.on_message(Message(QR_RESP, stale, 1, 0, reader.snapshot())) is None

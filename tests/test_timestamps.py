@@ -8,7 +8,6 @@ from stabreg import timestamps
 from stabreg.labels import (Label, LabelError, LabelParams, all_labels, incomparable_family,
                             make_label, next_label, precedes_b, random_label)
 from stabreg.timestamps import (
-    BOTTOM,
     EpochsQueue,
     Timestamp,
     dominates,
@@ -28,9 +27,9 @@ L_HIGH = make_label(1, {2, 3})  # L_LOW precedes L_HIGH
 
 def test_bottom_below_everything():
     ts = Timestamp(L_LOW, 0)
-    assert precedes_e(BOTTOM, ts)
-    assert not precedes_e(ts, BOTTOM)
-    assert not precedes_e(BOTTOM, BOTTOM)
+    assert precedes_e(None, ts)
+    assert not precedes_e(ts, None)
+    assert not precedes_e(None, None)
 
 
 def test_order_by_epoch_then_seq():
@@ -49,7 +48,7 @@ def test_incomparable_epochs_give_incomparable_timestamps():
 
 def test_dominates_is_nonstrict():
     ts = Timestamp(L_HIGH, 3)
-    assert dominates(ts, BOTTOM)
+    assert dominates(ts, None)
     assert dominates(ts, ts)
     assert dominates(ts, Timestamp(L_HIGH, 2))
     assert dominates(ts, Timestamp(L_LOW, 64))
@@ -282,7 +281,7 @@ def test_format_parse_roundtrip():
     text = format_timestamp(ts)
     assert text == "((4|1,4);7)"
     assert parse_timestamp(text) == ts
-    assert format_timestamp(BOTTOM) == "_"
+    assert format_timestamp(None) == "_"
     assert parse_timestamp("_") is None
     with pytest.raises(ValueError):
         parse_timestamp("garbage")
