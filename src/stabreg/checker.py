@@ -58,7 +58,7 @@ from __future__ import annotations
 
 import json
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator, Optional
 
 from .protocol import INITIAL_VALUE
@@ -101,7 +101,7 @@ class Violation:
 class Verdict:
     atomic_from: Optional[int]  # completed-op index; None = never
     violations: list[Violation]
-    stats: dict = field(default_factory=dict)
+    stats: dict
 
     def to_dict(self) -> dict:
         return {
@@ -113,7 +113,6 @@ class Verdict:
 
 @dataclass
 class Trace:
-    config: dict
     operations: list[Operation]  # all, in invocation order
     completed: list[Operation]  # completed ones, in completion order
     writes: list[Operation]  # all writes, in writer order (index = widx)
@@ -134,9 +133,9 @@ def parse_trace(lines) -> Trace:
     """Parse JSONL trace lines into a single-writer trace with reads mapped.
 
     ``lines`` is any iterable of strings, a text file included; each line is
-    decoded as it is reached and the error positions count blank lines.
+    decoded as it is reached, a header line is skipped, and the error
+    positions count blank and header lines.
     """
-    config: dict = {}
     op_ids: set[str] = set()
     order: list[Operation] = []
     completed: list[Operation] = []
@@ -156,7 +155,6 @@ def parse_trace(lines) -> Trace:
         if type(event) is not dict:
             raise TraceError(f"event {pos}: not a JSON object")
         if event.get("type") == "header":
-            config = event.get("config", {})
             continue
         try:
             kind = event["event"]
@@ -225,7 +223,7 @@ def parse_trace(lines) -> Trace:
     for op in completed:
         if op.kind == "read":
             op.widx = widx_of.get(op.value, -1)
-    return Trace(config, order, completed, writes)
+    return Trace(order, completed, writes)
 
 
 def _violations(trace: Trace) -> Iterator[tuple[Violation, int]]:

@@ -22,7 +22,8 @@ from pathlib import Path
 
 from .checker import TraceError, find_stabilization, parse_trace
 from .game import GameError, STRATEGIES, make_hider, play
-from .labels import LabelError, LabelParams, format_label, next_label, parse_label, precedes_b
+from .labels import (LabelError, LabelParams, check_shape, format_label, next_label,
+                     parse_label, precedes_b)
 from .sim import ScenarioError, parse_scenario, run_scenario
 
 
@@ -128,7 +129,7 @@ def cmd_labels(args) -> int:
         params = LabelParams(args.k)
         labels = [parse_label(text) for text in args.labels]
         for label in labels:
-            label.validate(params)
+            check_shape(label, params)
         if args.op == "compare":
             if len(labels) != 2:
                 raise InputError("compare takes exactly two labels")

@@ -54,17 +54,11 @@ class Label:
     def __hash__(self) -> int:
         return self._hash
 
-    def validate(self, params: LabelParams) -> None:
-        check_shape(self, params)
-        anti = self.antistings
-        if any(a >= b for a, b in zip(anti, anti[1:])):
-            raise LabelError("antistings must be sorted and distinct")
-
 
 def check_shape(label: Label, params: LabelParams) -> None:
     """Raise LabelError unless ``label`` has k antistings and its sting and
     antistings lie in 1..K.  Antistings are sorted, so this is O(1) and
-    catches any label built for another k; ``Label.validate`` adds the order."""
+    catches any label built for another k."""
     K, anti = params.universe_size, label.antistings
     if len(anti) != params.k:
         raise LabelError(f"antisting set has {len(anti)} elements, need {params.k}")

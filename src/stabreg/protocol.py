@@ -17,9 +17,10 @@ finished phase off the processor.  An operation ends when its processor
 goes idle.  A read aborts when its quorum read phase finds no view that
 dominates the others, so the read phase is the last phase it ran; any
 other operation ends with a write phase, whose payload is the
-``(ts, value)`` it installed.  Phase nonces are simulator plumbing for
-request/response matching and are not part of the protocol's bounded
-state.
+``(ts, value)`` it installed.  A nonce is the requester's phase count,
+which its reply carries back: it is unbounded and kept outside the
+protocol's bounded state, and a forged message carries 0, which no phase
+holds.
 """
 
 from __future__ import annotations

@@ -448,17 +448,14 @@ class Potential:
     held anywhere: by a processor, in a phase's responses or payload, or in
     a message in a link or an outbox.  g must never rise, and it must fall
     in a step where a write's read phase sees a number above the writer's
-    own.  ``violations`` and ``strict_violations`` list the steps that
-    break either rule, and are the run's ``g_violations`` and
-    ``g_strict_violations`` metrics; ``observations`` counts the steps of the
-    second kind.
+    own.  The run's ``g_violations`` and ``g_strict_violations`` metrics
+    list the steps that break either rule; ``observations`` counts the
+    steps of the second kind.
     """
 
     def __init__(self, sim: Simulation):
         self.sim = sim
         self.writer = sim.procs[WRITER_ID]
-        self.violations: list[int] = sim.stats["g_violations"]
-        self.strict_violations: list[int] = sim.stats["g_strict_violations"]
         self.observations = 0
         self._phase = self.writer.phase
         self._seq = self.writer.max_seq
@@ -486,9 +483,9 @@ class Potential:
 
     def check(self, _pid: int, _msg) -> None:
         g = self.measure()
-        writer, step, phase = self.writer, self.sim.step_count, self.writer.phase
+        sim, writer, phase = self.sim, self.writer, self.writer.phase
         if g > self._g:
-            self.violations.append(step)
+            sim.stats["g_violations"].append(sim.step_count)
         # the writer opens its write phase in the call that ends its read
         # phase, so a write phase new since the last step means a read phase
         # ended in this one; that phase saw some max m and moved the writer
@@ -497,7 +494,7 @@ class Potential:
                 and writer.max_seq > self._seq + 1):
             self.observations += 1
             if g >= self._g:
-                self.strict_violations.append(step)
+                sim.stats["g_strict_violations"].append(sim.step_count)
         self._phase = phase
         self._seq = writer.max_seq
         self._g = g

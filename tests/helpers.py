@@ -146,8 +146,7 @@ def suffix(trace: Trace, start: int) -> Trace:
     Operations completed earlier, and pending ones, drop out; ``writes``
     stays whole, so a read of an earlier write's value keeps its write index.
     """
-    return Trace(trace.config,
-                 [op for op in trace.operations if op.rank >= start],
+    return Trace([op for op in trace.operations if op.rank >= start],
                  trace.completed[start:], trace.writes)
 
 

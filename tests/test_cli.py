@@ -42,6 +42,16 @@ def test_run_writes_trace_and_metrics(config_file, tmp_path, capsys):
     assert trace.read_bytes() == ("\n".join(lines) + "\n").encode()
 
 
+def test_run_audit_writes_the_same_trace(tmp_path):
+    # the link audit only checks, so a corrupted start replays byte for byte
+    config = tmp_path / "random.cfg"
+    config.write_text(CLEAN + "corruption = random\n")
+    for out, audit in (("plain", []), ("audit", ["--audit"])):
+        assert main(["run", "--config", str(config), "--out", str(tmp_path / out), *audit]) == 0
+    assert ((tmp_path / "audit" / "trace-3.jsonl").read_bytes()
+            == (tmp_path / "plain" / "trace-3.jsonl").read_bytes())
+
+
 def test_run_seed_override(config_file, tmp_path, monkeypatch):
     # a flag beats its environment variable
     monkeypatch.setenv("STABREG_SEED", "55")
@@ -431,6 +441,17 @@ def test_labels_bad_literal(capsys):
     for k in ("2", "3"):  # refused under any k, not read as (1|2,3)
         assert main(["labels", "--k", k, "compare", "(1|3,2,2)", "(5|1,4)"]) == 2
         assert "repeats antisting 2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("literal, message", [
+    ("(1|2,3,4)", "antisting set has 3 elements, need 2"),
+    ("(6|1,2)", "sting or antisting outside universe 1..5"),
+])
+def test_labels_rejects_a_label_of_another_k(capsys, literal, message):
+    assert main(["labels", "--k", "2", "compare", "(2|4,5)", literal]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
+    assert captured.out == ""
 
 
 def test_labels_compare_takes_two_labels(capsys):

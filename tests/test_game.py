@@ -11,7 +11,7 @@ from stabreg.game import (
     make_hider,
     play,
 )
-from stabreg.labels import Label, LabelParams, precedes_b, random_label
+from stabreg.labels import Label, LabelParams, check_shape, precedes_b, random_label
 from stabreg.timestamps import EpochsQueue
 
 
@@ -40,7 +40,8 @@ def test_finder_step_first_round_empty_queue():
     queue = EpochsQueue(4, params)
     label = finder_step(queue, None, None)
     assert len(queue) == 0
-    label.validate(params)
+    check_shape(label, params)
+    assert label.antistings == tuple(sorted(set(label.antistings)))
 
 
 @pytest.mark.parametrize("strategy", sorted(STRATEGIES))
