@@ -5,8 +5,9 @@ method of ``BoundedReader``, ``BoundedWriter`` or ``EpochsQueue``, or one
 name that ``stabreg.protocol`` imports, so the patch is undone when the
 test ends.  ``MUTANTS`` maps each name to its function.  A mutant is killed
 by a criterion when some run, its witness, passes that criterion with the
-protocol as written and fails it under the mutant; the witness tests replay
-each witness both ways.
+protocol as written and fails it under the mutant.  Each witness is one
+row of ``WITNESSES`` in ``tests/test_acceptance.py``, which
+``test_witness_kills_mutant`` replays both ways.
 
 * ``adopt-unconditional``: a reader keeps every write-back, even one below
   a timestamp that reached its replica meanwhile.  Killed by criterion 4,

@@ -398,29 +398,20 @@ def test_closed_stdout_exits_141_quietly(config_file, tmp_path, unbuffered):
         assert closed_stdout_run(argv, unbuffered) == (141, ""), argv[0]
 
 
-def test_game_rejects_unknown_strategy(capsys):
-    assert main(["game", "--m", "2", "--strategy", "psychic"]) == 2
-    assert capsys.readouterr().err == ("error: unknown strategy 'psychic' (known: "
-                                       "insert-finder, max-incomparable, random-replace, "
-                                       "static)\n")
-
-
-def test_game_rejects_empty_queue(capsys):
-    assert main(["game", "--m", "2", "--queue-capacity", "0"]) == 2
-    assert "error: queue capacity" in capsys.readouterr().err
-
-
-def test_game_rejects_queue_larger_than_2m(capsys):
-    assert main(["game", "--m", "2", "--queue-capacity", "10"]) == 2
-    assert "error: queue capacity must be in 1..4" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("seeds", ["0", "-3"])
-def test_game_rejects_seeds_below_one(capsys, seeds):
-    assert main(["game", "--m", "2", "--seeds", seeds]) == 2
+@pytest.mark.parametrize("argv, message", [
+    (["--strategy", "psychic"], "unknown strategy 'psychic' (known: insert-finder, "
+                                "max-incomparable, random-replace, static)"),
+    (["--queue-capacity", "0"], "queue capacity must be in 1..4, got 0"),
+    (["--queue-capacity", "10"], "queue capacity must be in 1..4, got 10"),
+    (["--seeds", "0"], "--m and --seeds must be >= 1"),
+    (["--seeds", "-3"], "--m and --seeds must be >= 1"),
+], ids=["unknown-strategy", "empty-queue", "queue-larger-than-2m", "zero-seeds",
+        "negative-seeds"])
+def test_game_rejects_invalid_input(capsys, argv, message):
+    assert main(["game", "--m", "2", *argv]) == 2
     captured = capsys.readouterr()
-    assert "--seeds must be >= 1" in captured.err
-    assert "games:" not in captured.out
+    assert captured.err == f"error: {message}\n"
+    assert captured.out == ""
 
 
 def test_labels_compare(capsys):
@@ -443,22 +434,15 @@ def test_labels_bad_literal(capsys):
         assert "repeats antisting 2" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("literal, message", [
-    ("(1|2,3,4)", "antisting set has 3 elements, need 2"),
-    ("(6|1,2)", "sting or antisting outside universe 1..5"),
-])
-def test_labels_rejects_a_label_of_another_k(capsys, literal, message):
-    assert main(["labels", "--k", "2", "compare", "(2|4,5)", literal]) == 2
+@pytest.mark.parametrize("argv, message", [
+    (["--k", "2", "compare", "(2|4,5)", "(1|2,3,4)"], "antisting set has 3 elements, need 2"),
+    (["--k", "2", "compare", "(2|4,5)", "(6|1,2)"], "sting or antisting outside universe 1..5"),
+    (["--k", "2", "compare", "(2|4,5)"], "compare takes exactly two labels"),
+    (["--k", "1", "next", "(1|1)"], "k must be >= 2, got 1"),
+], ids=["antistings-of-another-k", "sting-of-another-k", "compare-one-label",
+        "k-below-two"])
+def test_labels_rejects_invalid_input(capsys, argv, message):
+    assert main(["labels", *argv]) == 2
     captured = capsys.readouterr()
     assert captured.err == f"error: {message}\n"
     assert captured.out == ""
-
-
-def test_labels_compare_takes_two_labels(capsys):
-    assert main(["labels", "--k", "2", "compare", "(2|4,5)"]) == 2
-    assert "compare takes exactly two labels" in capsys.readouterr().err
-
-
-def test_labels_rejects_k_below_two(capsys):
-    assert main(["labels", "--k", "1", "next", "(1|1)"]) == 2
-    assert "error: k must be >= 2" in capsys.readouterr().err

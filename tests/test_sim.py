@@ -254,24 +254,6 @@ def test_below_draws_as_randrange():
             assert a.getstate() == b.getstate(), (seed, n)
 
 
-def test_fisher_yates_loop_draws_as_shuffle():
-    bits = [size.bit_length() for size in range(11)]
-    for seed in range(200):
-        a, b = random.Random(seed), random.Random(seed)
-        for length in range(10):
-            mine, theirs = list(range(length)), list(range(length))
-            # the refill loop of Simulation.run, _below written out
-            for i in range(len(mine) - 1, 0, -1):
-                k = bits[i + 1]
-                j = a.getrandbits(k)
-                while j > i:
-                    j = a.getrandbits(k)
-                mine[i], mine[j] = mine[j], mine[i]
-            b.shuffle(theirs)
-            assert mine == theirs, (seed, length)
-            assert a.getstate() == b.getstate(), (seed, length)
-
-
 class TwoDraws:
     """An RNG stand-in with only the two draws the scheduler loop may use."""
 
@@ -390,23 +372,6 @@ def test_no_response_under_nonce_0_enters_a_phase(monkeypatch):
     assert all(delivered.values()), delivered
 
 
-def test_oracle_clean_run():
-    config = small_config(protocol="oracle", writes=15)
-    lines, metrics = run_scenario(config)
-    assert metrics["g_violations"] == []
-    assert metrics["g_strict_violations"] == []
-    verdict = find_stabilization(parse_trace(lines), metrics)
-    assert verdict.atomic_from == 0
-
-
-def test_oracle_corrupted_run_potential_still_monotone():
-    config = small_config(protocol="oracle", corruption="random", writes=15)
-    lines, metrics = run_scenario(config)
-    assert metrics["g_violations"] == []
-    assert metrics["g_strict_violations"] == []
-    assert metrics["writes_completed"] == 15
-
-
 def test_potential_catches_a_rising_potential():
     sim = Simulation(small_config(protocol="oracle", writes=15))
     sim.run()
@@ -469,11 +434,14 @@ def test_every_read_retry_cap_th_abort_waits_ten_backoffs():
     ({"protocol": "oracle", "corruption": "random"}, False),
 ], ids=["none", "random", "hidden-epoch", "oracle-random"])
 def test_phase_message_bound(overrides, aborts):
-    _, metrics = run_scenario(small_config(**overrides), audit=True)
+    config = small_config(**overrides)
+    _, metrics = run_scenario(config, audit=True)
     assert (metrics["reads_aborted"] > 0) == aborts
-    # a phase ends on the quorum-th response, and asks only its n - 1 peers
-    assert metrics["max_phase_responses"] == 3
-    assert 1 <= metrics["max_phase_requests"] <= 4
+    # a phase ends on the quorum-th response, and asks only its n - 1 peers;
+    # the majority counts the processor itself, so n // 2 peers at least
+    n = config.n
+    assert metrics["max_phase_responses"] == n // 2 + 1
+    assert n // 2 <= metrics["max_phase_requests"] <= n - 1
     # two phases per operation, one for an aborted read
     assert metrics["completed_phases"] == 2 * (
         metrics["writes_completed"] + metrics["reads_completed"]
