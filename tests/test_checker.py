@@ -99,14 +99,16 @@ def test_parse_rejects_garbage():
             event(2, 1, "read_response", "r", value={"v": 1})]
     with pytest.raises(TraceError, match="event 1: value"):
         parse_trace(read)
+
+
+@pytest.mark.parametrize("abort", ["false", 1, "no", None])
+def test_parse_rejects_non_boolean_abort(abort):
     # a truthy non-boolean abort would hide this stale read from the sweep
-    for abort in ("false", 1, "no", None):
-        stale = [event(1, 0, "write_invoke", "w1", value="v#1"),
-                 event(2, 0, "write_response", "w1"),
-                 event(3, 1, "read_invoke", "r"),
-                 event(4, 1, "read_response", "r", value=INITIAL_VALUE, abort=abort)]
-        with pytest.raises(TraceError, match="event 3: abort must be true or false"):
-            parse_trace(stale)
+    stale = [event(1, 0, "write_invoke", "w1", value="v#1"), event(2, 0, "write_response", "w1"),
+             event(3, 1, "read_invoke", "r"),
+             event(4, 1, "read_response", "r", value=INITIAL_VALUE, abort=abort)]
+    with pytest.raises(TraceError, match="event 3: abort must be true or false"):
+        parse_trace(stale)
 
 
 def test_parse_streams_any_iterable():
@@ -140,15 +142,14 @@ def test_parse_rejects_repeated_written_value():
         parse_trace(lines)
 
 
-def test_parse_rejects_reused_op_id():
-    across = [event(1, 0, "write_invoke", "a", value="v#1"),
-              event(2, 1, "read_invoke", "a")]
-    on_one_proc = [event(1, 1, "read_invoke", "a"),
-                   event(2, 1, "read_response", "a", value="v_init"),
-                   event(3, 1, "read_invoke", "a")]
-    for lines in (across, on_one_proc):
-        with pytest.raises(TraceError, match="used twice"):
-            parse_trace(lines)
+@pytest.mark.parametrize("lines", [
+    [event(1, 0, "write_invoke", "a", value="v#1"), event(2, 1, "read_invoke", "a")],
+    [event(1, 1, "read_invoke", "a"), event(2, 1, "read_response", "a", value="v_init"),
+     event(3, 1, "read_invoke", "a")],
+], ids=["across-procs", "on-one-proc"])
+def test_parse_rejects_reused_op_id(lines):
+    with pytest.raises(TraceError, match="used twice"):
+        parse_trace(lines)
 
 
 def test_parse_orders_and_maps_operations():
@@ -248,16 +249,16 @@ def test_reads_of_two_unwritten_values_conflict_even_when_they_overlap():
     assert linearizable_swmr(all_ops(ops_by_proc), initial=None)
 
 
-def test_unwritten_value_cut_is_the_latest_pair():
+@pytest.mark.parametrize("values, cut", [(["a", "b", "b"], 1), (["a", "b", "a"], 2)])
+def test_unwritten_value_cut_is_the_latest_pair(values, cut):
     # the latest unwritten read and the latest one with another value set
     # the cut: 1 + the earlier of the two ranks
-    for values, cut in ((["a", "b", "b"], 1), (["a", "b", "a"], 2)):
-        reads = [Op("read", v, 2 * i + 1, 2 * i + 2) for i, v in enumerate(values)]
-        trace = parsed({0: [Op("write", "v#1", 7, 8)],
-                        1: reads + [Op("read", "v#1", 9, 10)]})
-        verdict = find_stabilization(trace)
-        assert {v.rule for v in verdict.violations} == {"initial-value"}
-        assert verdict.atomic_from == cut == suffix_scan_atomic_from(trace)
+    reads = [Op("read", v, 2 * i + 1, 2 * i + 2) for i, v in enumerate(values)]
+    trace = parsed({0: [Op("write", "v#1", 7, 8)],
+                    1: reads + [Op("read", "v#1", 9, 10)]})
+    verdict = find_stabilization(trace)
+    assert {v.rule for v in verdict.violations} == {"initial-value"}
+    assert verdict.atomic_from == cut == suffix_scan_atomic_from(trace)
 
 
 def test_reads_of_two_unwritten_values_in_a_real_run():
